@@ -61,37 +61,6 @@ ENDPOINT_CASES = [
         },
     ),
     (
-        "explain_document",
-        "POST",
-        "/explanations/document",
-        {"query": DEMO_QUERY, "doc_id": FAKE_NEWS_DOC_ID, "n": 1, "k": K},
-    ),
-    (
-        "explain_query",
-        "POST",
-        "/explanations/query",
-        {
-            "query": DEMO_QUERY,
-            "doc_id": FAKE_NEWS_DOC_ID,
-            "n": 3,
-            "k": K,
-            "threshold": 2,
-        },
-    ),
-    (
-        "explain_instance",
-        "POST",
-        "/explanations/instance",
-        {
-            "query": DEMO_QUERY,
-            "doc_id": FAKE_NEWS_DOC_ID,
-            "n": 1,
-            "k": K,
-            "method": "cosine_sampled",
-            "samples": 30,
-        },
-    ),
-    (
         "builder_rerank",
         "POST",
         "/builder/rerank",

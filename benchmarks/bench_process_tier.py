@@ -115,11 +115,11 @@ def test_process_tier_explain_batch(capsys):
         engine = _fresh_engine()
         try:
             # Warm: build the pool / fork the workers off the clock.
-            engine.explain_batch(distinct[:2], parallel=WORKERS, executor=executor)
+            engine.explain_batch(distinct[:2], workers=WORKERS, executor=executor)
             engine.service().store.clear()
             start = time.perf_counter()
             responses = engine.explain_batch(
-                distinct, parallel=WORKERS, executor=executor
+                distinct, workers=WORKERS, executor=executor
             )
             seconds = time.perf_counter() - start
         finally:

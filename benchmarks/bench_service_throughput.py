@@ -8,7 +8,7 @@ down both paths:
 
 * **sequential** — a fresh engine's plain ``explain_batch`` (the
   pre-service serving path: every item computed in the request thread);
-* **service** — a fresh engine's ``explain_batch(parallel=4)``, i.e.
+* **service** — a fresh engine's ``explain_batch(workers=4)``, i.e.
   the worker pool plus the version-keyed result store.
 
 The acceptance target is **≥ 2× batch throughput at 4 workers** with a
@@ -94,7 +94,7 @@ def test_service_throughput_at_4_workers(capsys):
     service_engine = _fresh_engine()
     try:
         start = time.perf_counter()
-        parallel = service_engine.explain_batch(requests, parallel=WORKERS)
+        parallel = service_engine.explain_batch(requests, workers=WORKERS)
         service_seconds = time.perf_counter() - start
         store_stats = service_engine.service().store.stats()
         metrics = service_engine.service().metrics_snapshot()

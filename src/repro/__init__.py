@@ -23,7 +23,7 @@ Strategies (``engine.available_strategies()``):
 ``query/augmentation``, ``instance/doc2vec``, ``instance/cosine``, and
 ``features/ltr`` for feature-based rankers. Batch traffic goes through
 ``engine.explain_batch([...])``, which shares caches across items and
-reports per-item latency — pass ``parallel=N`` to fan it out across the
+reports per-item latency — pass ``workers=N`` to fan it out across the
 engine's explanation service (``engine.service()``: async jobs, a
 bounded worker pool, and a version-keyed result store).
 

@@ -1,9 +1,8 @@
 """REST endpoints: the CREDENCE service surface (Fig. 1).
 
 Binds a :class:`~repro.core.engine.CredenceEngine` to the routes the demo
-UI calls. Explanation traffic goes through one generic route carrying
-the strategy name in the body; the pre-redesign per-family routes remain
-as thin delegations for older clients.
+UI calls. Every explanation family goes through ``POST /explanations``
+(and its stream/batch/jobs variants) with the strategy name in the body.
 
 ====================================  =======================================
 ``GET  /health``                      liveness + corpus stats
@@ -24,9 +23,6 @@ as thin delegations for older clients.
 ``GET  /metrics``                     service counters, cache, latency
 ``GET  /debug/traces``                recent request traces (ring buffer)
 ``GET  /debug/traces/{request_id}``   one trace, every span, rendered live
-``POST /explanations/document``       legacy: sentence-removal CFs
-``POST /explanations/query``          legacy: query-augmentation CFs
-``POST /explanations/instance``       legacy: Doc2Vec Nearest / Cosine Sampled
 ``POST /builder/rerank``              build-your-own re-rank + movements
 ``POST /topics``                      Browse Topics over the current top-k
 ====================================  =======================================
@@ -67,9 +63,6 @@ from repro.api.http import (
 )
 from repro.api.schemas import (
     BuilderRequest,
-    DocumentExplanationRequest,
-    InstanceExplanationRequest,
-    QueryExplanationRequest,
     RankRequest,
     TopicsRequest,
     parse_explain_batch,
@@ -467,58 +460,6 @@ def register_endpoints(
         if trace is None:
             raise NotFoundError(f"no retained trace for {request_id!r}")
         return trace.to_dict()
-
-    # -- legacy per-family routes (thin delegations) ---------------------------
-
-    @router.post("/explanations/document")
-    def explain_document(request: Request):
-        parsed = DocumentExplanationRequest.parse(request.body)
-        _admit(request)
-        response = _run_explain(
-            service,
-            ExplainRequest(
-                parsed.query,
-                parsed.doc_id,
-                strategy="document/sentence-removal",
-                n=parsed.n,
-                k=parsed.k,
-            ),
-        )
-        return response.result.to_dict()
-
-    @router.post("/explanations/query")
-    def explain_query(request: Request):
-        parsed = QueryExplanationRequest.parse(request.body)
-        _admit(request)
-        response = _run_explain(
-            service,
-            ExplainRequest(
-                parsed.query,
-                parsed.doc_id,
-                strategy="query/augmentation",
-                n=parsed.n,
-                k=parsed.k,
-                threshold=parsed.threshold,
-            ),
-        )
-        return response.result.to_dict()
-
-    @router.post("/explanations/instance")
-    def explain_instance(request: Request):
-        parsed = InstanceExplanationRequest.parse(request.body)
-        _admit(request)
-        response = _run_explain(
-            service,
-            ExplainRequest(
-                parsed.query,
-                parsed.doc_id,
-                strategy=parsed.method,  # legacy alias, resolved by registry
-                n=parsed.n,
-                k=parsed.k,
-                samples=parsed.samples,
-            ),
-        )
-        return _attach_instance_bodies(engine, response.result.to_dict())
 
     @router.post("/builder/rerank")
     def builder_rerank(request: Request):

@@ -42,10 +42,6 @@ Observability: ``explain --profile`` prints a per-stage wall-time
 breakdown to stderr (the explanation itself is byte-identical with or
 without it), and ``serve`` traces every request by default — inspect
 with ``GET /debug/traces`` or disable with ``--no-trace``.
-
-The pre-redesign per-family subcommands (``explain-document``,
-``explain-query``, ``explain-instance``) remain as thin delegations to
-``explain``.
 """
 
 from __future__ import annotations
@@ -57,13 +53,13 @@ import sys
 from repro.core.engine import CredenceEngine, EngineConfig, RANKER_CHOICES
 from repro.core.explain import ExplainRequest, ExplainResponse
 from repro.core.perturbations import Perturbation, RemoveTerm, ReplaceTerm
-from repro.core.registry import DEFAULT_REGISTRY, STRATEGY_ALIASES
+from repro.core.registry import DEFAULT_REGISTRY
 from repro.core.search import DEFAULT_BEAM_WIDTH, SEARCH_STRATEGIES
 from repro.datasets.loaders import load_jsonl
 from repro.index.sharding import ROUTER_CHOICES
 from repro.datasets.queries import sample_queries
 from repro.demo import demo_engine
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -162,41 +158,42 @@ _RENDERERS = {
 }
 
 
-def _strategy_choices() -> list[str]:
-    return [*DEFAULT_REGISTRY.names(), *sorted(STRATEGY_ALIASES)]
+def _render(response: ExplainResponse) -> str:
+    """The text form of one response; JSON when no renderer applies."""
+    renderer = _RENDERERS.get(response.strategy)
+    if renderer is None or not response.ok:
+        return json.dumps(response.to_dict(), ensure_ascii=False, indent=2)
+    return renderer(response)
 
 
-def _run_explain(
-    args: argparse.Namespace, strategy: str, legacy_payload: bool = False
-) -> int:
-    """Build the engine, dispatch one request, and render the result.
-
-    ``legacy_payload`` keeps the pre-redesign JSON shape (the bare
-    :class:`~repro.core.types.ExplanationSet`) for the delegating
-    per-family subcommands; the ``explain`` command emits the
-    strategy-tagged envelope.
-    """
-    engine = _build_engine(args)
-    request = ExplainRequest(
+def _explain_request(args: argparse.Namespace, doc_id: str) -> ExplainRequest:
+    """The request ``explain`` sends for one ``--doc``."""
+    return ExplainRequest(
         query=args.query,
-        doc_id=args.doc,
-        strategy=strategy,
+        doc_id=doc_id,
+        strategy=args.strategy,
         n=args.n,
         k=args.k,
-        threshold=getattr(args, "threshold", 1),
-        samples=getattr(args, "samples", 50),
-        search=getattr(args, "search", None),
-        beam_width=getattr(args, "beam_width", DEFAULT_BEAM_WIDTH),
-        budget=getattr(args, "budget", None),
-        deadline_ms=getattr(args, "deadline_ms", None),
+        threshold=args.threshold,
+        samples=args.samples,
+        search=args.search,
+        beam_width=args.beam_width,
+        budget=args.budget,
+        deadline_ms=args.deadline_ms,
     )
+
+
+def _run_explain(args: argparse.Namespace) -> int:
+    """Build the engine, dispatch one request, and render the result."""
+    engine = _build_engine(args)
+    request = _explain_request(args, args.doc[0])
     debug = None
-    if getattr(args, "profile", False):
+    if args.profile:
         from repro.obs import Tracer, profile_block, render_profile
 
         tracer = Tracer(ring_capacity=1)
         with tracer.trace("cli/explain") as trace:
-            if getattr(args, "stream", False):
+            if args.stream:
                 response = _explain_streaming(engine, request)
             else:
                 response = engine.explain(request)
@@ -204,20 +201,14 @@ def _run_explain(
         # The breakdown goes to stderr so stdout stays the result alone
         # (pipelines parsing it are unaffected by --profile).
         print(render_profile(debug), file=sys.stderr)
-    elif getattr(args, "stream", False):
+    elif args.stream:
         response = _explain_streaming(engine, request)
     else:
         response = engine.explain(request)
-    renderer = _RENDERERS.get(response.strategy)
-    text = (
-        renderer(response)
-        if renderer is not None
-        else json.dumps(response.to_dict(), ensure_ascii=False, indent=2)
-    )
-    payload = response.result.to_dict() if legacy_payload else response.to_dict()
-    if debug is not None and not legacy_payload:
+    payload = response.to_dict()
+    if debug is not None:
         payload = {**payload, "debug": debug}
-    _emit(args, payload, text)
+    _emit(args, payload, _render(response))
     return 0 if response.explanations else 1
 
 
@@ -270,65 +261,37 @@ def _explain_streaming(engine: CredenceEngine, request: ExplainRequest):
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    docs = args.doc if isinstance(args.doc, list) else [args.doc]
-    if len(docs) == 1 and args.parallel is None and args.executor is None:
-        # Single document, no tier selection: the original single-request
-        # path (streaming/profiling supported) stays byte-for-byte intact.
-        args.doc = docs[0]
-        return _run_explain(args, args.strategy)
-    return _run_explain_batch(args, docs)
+    if len(args.doc) == 1 and args.workers is None and args.executor is None:
+        return _run_explain(args)
+    if args.stream or args.profile:
+        raise ConfigurationError(
+            "--stream and --profile explain one --doc in this process; they "
+            "cannot be combined with several --doc, --workers or --executor"
+        )
+    return _run_explain_batch(args)
 
 
-def _run_explain_batch(args: argparse.Namespace, docs: list[str]) -> int:
+def _run_explain_batch(args: argparse.Namespace) -> int:
     """Dispatch one request per ``--doc`` through ``explain_batch``.
 
-    ``--parallel N`` fans the batch across N workers and ``--executor``
+    ``--workers N`` fans the batch across N workers and ``--executor``
     picks the tier (threads or GIL-free worker processes); results are
-    byte-identical to the sequential path either way. ``--stream`` and
-    ``--profile`` are single-request features and are ignored here.
+    byte-identical to the sequential path either way.
     """
     engine = _build_engine(args)
-    requests = [
-        ExplainRequest(
-            query=args.query,
-            doc_id=doc_id,
-            strategy=args.strategy,
-            n=args.n,
-            k=args.k,
-            threshold=getattr(args, "threshold", 1),
-            samples=getattr(args, "samples", 50),
-            search=getattr(args, "search", None),
-            beam_width=getattr(args, "beam_width", DEFAULT_BEAM_WIDTH),
-            budget=getattr(args, "budget", None),
-            deadline_ms=getattr(args, "deadline_ms", None),
-        )
-        for doc_id in docs
-    ]
     responses = engine.explain_batch(
-        requests, parallel=args.parallel, executor=args.executor
+        [_explain_request(args, doc_id) for doc_id in args.doc],
+        workers=args.workers,
+        executor=args.executor,
     )
-    blocks = []
-    for response in responses:
-        renderer = _RENDERERS.get(response.strategy)
-        body = (
-            renderer(response)
-            if renderer is not None and response.error is None
-            else json.dumps(response.to_dict(), ensure_ascii=False, indent=2)
-        )
-        blocks.append(f"[{response.doc_id}]\n{body}")
     _emit(
         args,
         {"responses": [response.to_dict() for response in responses]},
-        "\n\n".join(blocks),
+        "\n\n".join(
+            f"[{response.doc_id}]\n{_render(response)}" for response in responses
+        ),
     )
-    return (
-        0
-        if all(
-            response.error is None and response.explanations
-            for response in responses
-        )
-        else 1
-    )
+    return 0 if all(r.ok and r.explanations for r in responses) else 1
 
 
 def _cmd_strategies(args: argparse.Namespace) -> int:
@@ -340,21 +303,6 @@ def _cmd_strategies(args: argparse.Namespace) -> int:
         lines.append(f"{record['name']:<28} {record['description']}{marker}")
     _emit(args, {"strategies": records}, "\n".join(lines))
     return 0
-
-
-# -- legacy per-family commands (delegations) ----------------------------------
-
-
-def _cmd_explain_document(args: argparse.Namespace) -> int:
-    return _run_explain(args, "document/sentence-removal", legacy_payload=True)
-
-
-def _cmd_explain_query(args: argparse.Namespace) -> int:
-    return _run_explain(args, "query/augmentation", legacy_payload=True)
-
-
-def _cmd_explain_instance(args: argparse.Namespace) -> int:
-    return _run_explain(args, args.method, legacy_payload=True)
 
 
 def _parse_edits(args: argparse.Namespace) -> list[Perturbation]:
@@ -829,24 +777,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="document id to explain; repeat for a batch",
     )
     explain.add_argument(
-        "--parallel",
+        "--workers",
         type=int,
         default=None,
         metavar="N",
-        help="fan a multi-document batch out across N workers "
+        help="fan the batch out across an N-worker pool "
         "(results stay byte-identical to the sequential path)",
     )
     explain.add_argument(
         "--executor",
         default=None,
         choices=("thread", "process"),
-        help="execution tier for --parallel: worker threads (default) "
+        help="execution tier for the batch: worker threads (default) "
         "or worker processes (GIL-free; scales with cores)",
     )
     explain.add_argument(
         "--strategy",
         default="document/sentence-removal",
-        choices=_strategy_choices(),
+        choices=DEFAULT_REGISTRY.names(),
         help="explanation strategy name (default document/sentence-removal)",
     )
     explain.add_argument("--n", type=int, default=1)
@@ -861,13 +809,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream",
         action="store_true",
         help="print live search progress to stderr while the "
-        "explanation runs",
+        "explanation runs (one --doc, no --workers/--executor)",
     )
     explain.add_argument(
         "--profile",
         action="store_true",
         help="trace the request and print a per-stage wall-time "
-        "breakdown to stderr (results are byte-identical either way)",
+        "breakdown to stderr (results are byte-identical either way; "
+        "one --doc, no --workers/--executor)",
     )
     explain.set_defaults(handler=_cmd_explain)
 
@@ -876,40 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(strategies)
     strategies.set_defaults(handler=_cmd_strategies)
-
-    doc_cf = commands.add_parser(
-        "explain-document", help="minimal sentence removals demoting a document"
-    )
-    _add_common(doc_cf)
-    doc_cf.add_argument("--query", required=True)
-    doc_cf.add_argument("--doc", required=True)
-    doc_cf.add_argument("--n", type=int, default=1)
-    doc_cf.set_defaults(handler=_cmd_explain_document)
-
-    query_cf = commands.add_parser(
-        "explain-query", help="minimal query augmentations promoting a document"
-    )
-    _add_common(query_cf)
-    query_cf.add_argument("--query", required=True)
-    query_cf.add_argument("--doc", required=True)
-    query_cf.add_argument("--n", type=int, default=1)
-    query_cf.add_argument("--threshold", type=int, default=1)
-    query_cf.set_defaults(handler=_cmd_explain_query)
-
-    instance = commands.add_parser(
-        "explain-instance", help="similar non-relevant corpus documents"
-    )
-    _add_common(instance)
-    instance.add_argument("--query", required=True)
-    instance.add_argument("--doc", required=True)
-    instance.add_argument("--n", type=int, default=1)
-    instance.add_argument(
-        "--method",
-        default="doc2vec_nearest",
-        choices=["doc2vec_nearest", "cosine_sampled"],
-    )
-    instance.add_argument("--samples", type=int, default=50)
-    instance.set_defaults(handler=_cmd_explain_instance)
 
     builder = commands.add_parser(
         "builder", help="apply edits to a document and re-rank"
@@ -1095,7 +1010,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--strategy",
         default="document/sentence-removal",
-        choices=_strategy_choices(),
+        choices=DEFAULT_REGISTRY.names(),
     )
     submit.add_argument("--n", type=int, default=1)
     submit.add_argument("--k", type=int, default=10)

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import logging
 import threading
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.embeddings.doc2vec import Doc2Vec, train_doc2vec
-from repro.embeddings.vectorizers import Bm25Vectorizer, TfIdfVectorizer
+from repro.embeddings.vectorizers import Bm25Vectorizer
 from repro.errors import ConfigurationError, ReproError
 from repro.index.document import Document
 from repro.index.inverted import InvertedIndex
@@ -31,12 +30,6 @@ from repro.core.explain import ExplainRequest, ExplainResponse
 from repro.core.perturbations import Perturbation
 from repro.core.query_cf import CounterfactualQueryExplainer
 from repro.core.registry import DEFAULT_REGISTRY, ExplainerRegistry
-from repro.core.types import (
-    ExplanationSet,
-    InstanceExplanation,
-    QueryAugmentationExplanation,
-    SentenceRemovalExplanation,
-)
 from repro.obs.trace import span as obs_span
 from repro.topics.lda import train_lda
 from repro.topics.summaries import TopicSummary, summarize_topics
@@ -183,7 +176,6 @@ class CredenceEngine:
         self.query_explainer = CounterfactualQueryExplainer(self.ranker)
         self.builder = CounterfactualBuilder(self.ranker)
         self.bm25_vectorizer = Bm25Vectorizer(self.index)
-        self.tfidf_vectorizer = TfIdfVectorizer(self.index)
         self._doc2vec: Doc2Vec | None = None
         self._doc2vec_version = -1
         self._doc2vec_lock = threading.Lock()
@@ -356,16 +348,10 @@ class CredenceEngine:
 
     # -- the unified explanation API ---------------------------------------------
 
-    def explain(
-        self, request: ExplainRequest | None = None, /, **kwargs
-    ) -> ExplainResponse:
-        """Run one explanation request through the strategy registry.
-
-        Accepts either a prepared :class:`ExplainRequest` or its fields
-        as keyword arguments::
+    def explain(self, request: ExplainRequest) -> ExplainResponse:
+        """Run one explanation request through the strategy registry::
 
             engine.explain(ExplainRequest(query, doc_id, strategy="query/augmentation"))
-            engine.explain(query=query, doc_id=doc_id, strategy="instance/doc2vec")
 
         The explainer for the strategy is built lazily on first use and
         memoised per engine. Returns a strategy-tagged
@@ -373,21 +359,13 @@ class CredenceEngine:
         strategies raise :class:`~repro.errors.UnknownStrategyError` and
         search failures propagate (``RankingError`` etc.).
         """
-        if request is None:
-            request = ExplainRequest(**kwargs)
-        elif kwargs:
-            raise ConfigurationError(
-                "pass either an ExplainRequest or keyword fields, not both"
-            )
         explainer = self.registry.get(self, request.strategy)
-        with obs_span(
-            "engine/explain", strategy=self.registry.resolve(request.strategy)
-        ) as span:
+        with obs_span("engine/explain", strategy=request.strategy) as span:
             with timed() as elapsed:
                 result = explainer.explain(request)
             span.set(explanations=len(result.explanations))
         return ExplainResponse(
-            strategy=self.registry.resolve(request.strategy),
+            strategy=request.strategy,
             query=request.query,
             doc_id=request.doc_id,
             result=result,
@@ -397,7 +375,7 @@ class CredenceEngine:
     def explain_batch(
         self,
         requests: Iterable[ExplainRequest],
-        parallel: bool | int | None = None,
+        workers: int | None = None,
         executor: str | None = None,
     ) -> list[ExplainResponse]:
         """Run many explanation requests, amortising shared state.
@@ -409,42 +387,22 @@ class CredenceEngine:
         a response with :attr:`ExplainResponse.error` set instead of
         aborting the batch.
 
-        ``parallel`` fans the batch out across the engine's
-        :meth:`service` worker pool (results are identical to the
-        sequential path, and repeated requests hit the service's result
-        store): ``True`` uses the service's worker count, an int ≥ 2
-        sizes the pool on first use. ``None``/``False``/``1`` keep the
-        in-thread sequential loop.
-
-        ``executor`` picks the execution tier for the fan-out:
-        ``"thread"`` (the default pool; implies ``parallel=True`` when
-        unset) or ``"process"``, which dispatches items to worker
-        processes that attach the v3 packed index via mmap and rebuild
-        the ranker from :class:`EngineConfig` — results remain
-        byte-identical to the sequential path while CPU-bound batches
-        scale with cores instead of hitting the GIL ceiling.
+        ``workers`` and ``executor`` mean what they mean on
+        :meth:`add_documents` and :func:`repro.api.app.serve`. With both
+        ``None`` the batch runs in this thread. Otherwise it fans out
+        across the engine's :meth:`service` pool (``workers`` sizes it
+        on first use; repeated requests hit the service's result store),
+        on the ``executor`` tier when one is named: ``"thread"`` or
+        ``"process"``, which dispatches items to worker processes that
+        attach the v3 packed index via mmap and rebuild the ranker from
+        :class:`EngineConfig`. Results are byte-identical to the
+        sequential path on every tier.
         """
-        if executor not in (None, "thread", "process"):
-            raise ConfigurationError(
-                f'executor must be "thread" or "process", got {executor!r}'
-            )
-        if executor == "process":
-            workers = (
-                parallel
-                if isinstance(parallel, int) and parallel is not True and parallel > 1
-                else None
-            )
+        if workers is not None or executor is not None:
             service = self.service(workers=workers)
-            service.configure_executor("process", workers=workers)
+            if executor is not None:
+                service.configure_executor(executor, workers=workers)
             return service.run_batch(list(requests))
-        if executor == "thread" and parallel in (None, False, 1):
-            parallel = True
-        # `is True` first: True == 1, so an equality check would wrongly
-        # route the documented parallel=True mode to the sequential loop.
-        if parallel is True:
-            return self.service().run_batch(list(requests))
-        if parallel not in (None, False) and parallel != 1:
-            return self.service(workers=parallel).run_batch(list(requests))
         responses: list[ExplainResponse] = []
         for request in requests:
             require(
@@ -497,73 +455,6 @@ class CredenceEngine:
     def available_strategies(self) -> tuple[str, ...]:
         """Strategy names applicable to this engine's ranker."""
         return self.registry.available_strategies(self)
-
-    # -- the four explanation families (deprecated shims) -------------------------
-
-    def _deprecated(self, old: str, strategy: str) -> None:
-        warnings.warn(
-            f"CredenceEngine.{old}() is deprecated; use "
-            f"engine.explain(ExplainRequest(..., strategy={strategy!r}))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def explain_document(
-        self, query: str, doc_id: str, n: int = 1, k: int = 10
-    ) -> ExplanationSet[SentenceRemovalExplanation]:
-        """Sentence-removal counterfactuals (Fig. 2). Deprecated shim for
-        :meth:`explain` with ``strategy="document/sentence-removal"``."""
-        self._deprecated("explain_document", "document/sentence-removal")
-        return self.explain(
-            ExplainRequest(
-                query, doc_id, strategy="document/sentence-removal", n=n, k=k
-            )
-        ).result
-
-    def explain_query(
-        self, query: str, doc_id: str, n: int = 1, k: int = 10, threshold: int = 1
-    ) -> ExplanationSet[QueryAugmentationExplanation]:
-        """Query-augmentation counterfactuals (Fig. 3). Deprecated shim for
-        :meth:`explain` with ``strategy="query/augmentation"``."""
-        self._deprecated("explain_query", "query/augmentation")
-        return self.explain(
-            ExplainRequest(
-                query,
-                doc_id,
-                strategy="query/augmentation",
-                n=n,
-                k=k,
-                threshold=threshold,
-            )
-        ).result
-
-    def explain_instance_doc2vec(
-        self, query: str, doc_id: str, n: int = 1, k: int = 10
-    ) -> ExplanationSet[InstanceExplanation]:
-        """Doc2Vec Nearest instance counterfactuals (Fig. 4). Deprecated
-        shim for :meth:`explain` with ``strategy="instance/doc2vec"``."""
-        self._deprecated("explain_instance_doc2vec", "instance/doc2vec")
-        return self.explain(
-            ExplainRequest(query, doc_id, strategy="instance/doc2vec", n=n, k=k)
-        ).result
-
-    def explain_instance_cosine(
-        self, query: str, doc_id: str, n: int = 1, k: int = 10, samples: int = 50
-    ) -> ExplanationSet[InstanceExplanation]:
-        """Cosine Sampled instance counterfactuals (Fig. 4 variant).
-        Deprecated shim for :meth:`explain` with
-        ``strategy="instance/cosine"``."""
-        self._deprecated("explain_instance_cosine", "instance/cosine")
-        return self.explain(
-            ExplainRequest(
-                query,
-                doc_id,
-                strategy="instance/cosine",
-                n=n,
-                k=k,
-                samples=samples,
-            )
-        ).result
 
     def build_counterfactual(
         self,

@@ -27,7 +27,7 @@ Strategy names are resolved through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Protocol, runtime_checkable
 
 from repro.core.search import DEFAULT_BEAM_WIDTH
@@ -109,10 +109,6 @@ class ExplainRequest:
             require_positive(self.deadline_ms, "deadline_ms")
         if not isinstance(self.extra, Mapping):
             raise ConfigurationError("extra must be a mapping")
-
-    def with_strategy(self, strategy: str) -> "ExplainRequest":
-        """The same request retargeted at another strategy."""
-        return replace(self, strategy=strategy)
 
     def to_dict(self) -> dict:
         return {

@@ -45,13 +45,6 @@ from repro.errors import (
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from repro.core.engine import CredenceEngine
 
-#: Legacy spellings accepted wherever a strategy name is expected
-#: (the pre-redesign REST ``method`` field and engine method names).
-STRATEGY_ALIASES = {
-    "doc2vec_nearest": "instance/doc2vec",
-    "cosine_sampled": "instance/cosine",
-}
-
 
 @dataclass(frozen=True)
 class StrategySpec:
@@ -118,15 +111,12 @@ class ExplainerRegistry:
         """Every registered strategy name, sorted."""
         return tuple(sorted(self._specs))
 
-    def resolve(self, name: str) -> str:
-        """Canonicalise ``name`` (legacy aliases), raising on unknown."""
-        canonical = STRATEGY_ALIASES.get(name, name)
-        if canonical not in self._specs:
+    def resolve(self, name: str) -> StrategySpec:
+        """The spec registered as ``name``, raising on unknown names."""
+        spec = self._specs.get(name)
+        if spec is None:
             raise UnknownStrategyError(name, self.names())
-        return canonical
-
-    def spec(self, name: str) -> StrategySpec:
-        return self._specs[self.resolve(name)]
+        return spec
 
     def available_strategies(
         self, engine: "CredenceEngine | None" = None
@@ -163,26 +153,25 @@ class ExplainerRegistry:
         strategy) build exactly one instance, and building it never
         blocks requests for other strategies or engines.
         """
-        canonical = self.resolve(name)
-        key = (id(engine), canonical)
+        spec = self.resolve(name)
+        key = (id(engine), name)
         with self._cache_lock:
             cache = self._instances.setdefault(engine, {})
-            existing = cache.get(canonical)
+            existing = cache.get(name)
             if existing is not None:
                 return existing
             key_lock = self._key_locks.setdefault(key, threading.Lock())
         with key_lock:
             with self._cache_lock:
-                existing = cache.get(canonical)
+                existing = cache.get(name)
                 if existing is not None:  # another thread built it
                     return existing
-            spec = self._specs[canonical]
             reason = spec.unavailable_reason(engine)
             if reason is not None:
-                raise StrategyUnavailableError(canonical, reason)
+                raise StrategyUnavailableError(name, reason)
             instance = spec.factory(engine)
             with self._cache_lock:
-                cache[canonical] = instance
+                cache[name] = instance
                 self._key_locks.pop(key, None)  # published; lock not needed
             return instance
 
@@ -205,8 +194,8 @@ def _search_kwargs(request: ExplainRequest) -> dict:
 
 @dataclass(frozen=True)
 class _BoundExplainer:
-    """Adapts a legacy per-family ``explain(...)`` signature to the
-    uniform :class:`~repro.core.explain.Explainer` protocol."""
+    """Maps request fields onto one family's ``explain(...)`` arguments,
+    exposing the uniform :class:`~repro.core.explain.Explainer` protocol."""
 
     strategy: str
     run: Callable[[ExplainRequest], ExplanationSet]

@@ -397,7 +397,7 @@ def run_cell(
     language_model: CorpusLanguageModel | None = None,
 ) -> CellResult:
     """Run one grid cell: ``strategy`` × ``search`` over ``instances``."""
-    reason = engine.registry.spec(strategy).unavailable_reason(engine)
+    reason = engine.registry.resolve(strategy).unavailable_reason(engine)
     ranker_name = getattr(engine.config, "ranker", "?")
     if not engine.ranker_from_config:
         ranker_name = "ltr"

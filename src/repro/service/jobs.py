@@ -5,7 +5,7 @@ An :class:`ExplainJob` is one submitted unit of work — a single
 items are executed concurrently by the
 :class:`~repro.service.workers.WorkerPool`. The job object is the
 synchronisation point between the submitting thread (REST handler, CLI,
-``explain_batch(parallel=...)``) and the worker threads: every mutation
+``explain_batch(workers=...)``) and the worker threads: every mutation
 happens under the job's lock, and :meth:`ExplainJob.wait` blocks on an
 event set exactly once, when the last item is accounted for.
 

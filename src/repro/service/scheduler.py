@@ -10,7 +10,7 @@
 * **parallel batch** — :meth:`run_batch` fans the items of one batch
   out across the :class:`~repro.service.workers.WorkerPool` and blocks
   for the assembled, order-preserving responses (this is what
-  ``engine.explain_batch(parallel=...)`` delegates to);
+  ``engine.explain_batch(workers=...)`` delegates to);
 * **async jobs** — :meth:`submit` returns an
   :class:`~repro.service.jobs.ExplainJob` immediately; progress,
   cancellation, and results are read off the job object
@@ -511,7 +511,7 @@ class ExplanationService:
         with self._jobs_lock:
             return list(self._jobs.values())
 
-    # -- parallel batch (the explain_batch(parallel=...) backend) --------------
+    # -- parallel batch (the explain_batch(workers=...) backend) ---------------
 
     def run_batch(
         self,

@@ -55,8 +55,14 @@ class TestRankEndpoint:
 class TestExplanationEndpoints:
     def test_document_explanations(self, client):
         response = client.post(
-            "/explanations/document",
-            {"query": QUERY, "doc_id": FAKE_NEWS_DOC_ID, "n": 1, "k": 10},
+            "/explanations",
+            {
+                "query": QUERY,
+                "doc_id": FAKE_NEWS_DOC_ID,
+                "strategy": "document/sentence-removal",
+                "n": 1,
+                "k": 10,
+            },
         )
         assert response.status == 200
         explanation = response.payload["explanations"][0]
@@ -65,17 +71,24 @@ class TestExplanationEndpoints:
 
     def test_document_explanations_unranked_doc_400(self, client):
         response = client.post(
-            "/explanations/document",
-            {"query": QUERY, "doc_id": "markets-0002", "n": 1, "k": 10},
+            "/explanations",
+            {
+                "query": QUERY,
+                "doc_id": "markets-0002",
+                "strategy": "document/sentence-removal",
+                "n": 1,
+                "k": 10,
+            },
         )
         assert response.status == 400
 
     def test_query_explanations(self, client):
         response = client.post(
-            "/explanations/query",
+            "/explanations",
             {
                 "query": QUERY,
                 "doc_id": FAKE_NEWS_DOC_ID,
+                "strategy": "query/augmentation",
                 "n": 3,
                 "k": 10,
                 "threshold": 2,
@@ -88,13 +101,13 @@ class TestExplanationEndpoints:
 
     def test_instance_explanations_cosine(self, client):
         response = client.post(
-            "/explanations/instance",
+            "/explanations",
             {
                 "query": QUERY,
                 "doc_id": FAKE_NEWS_DOC_ID,
+                "strategy": "instance/cosine",
                 "n": 2,
                 "k": 10,
-                "method": "cosine_sampled",
                 "samples": 30,
             },
         )
@@ -105,8 +118,14 @@ class TestExplanationEndpoints:
 
     def test_instance_explanations_doc2vec(self, client):
         response = client.post(
-            "/explanations/instance",
-            {"query": QUERY, "doc_id": FAKE_NEWS_DOC_ID, "n": 1, "k": 10},
+            "/explanations",
+            {
+                "query": QUERY,
+                "doc_id": FAKE_NEWS_DOC_ID,
+                "strategy": "instance/doc2vec",
+                "n": 1,
+                "k": 10,
+            },
         )
         assert response.status == 200
         assert response.payload["explanations"][0]["method"] == "doc2vec_nearest"

@@ -4,13 +4,12 @@ import pytest
 
 from repro.api.schemas import (
     BuilderRequest,
-    DocumentExplanationRequest,
-    InstanceExplanationRequest,
-    QueryExplanationRequest,
     RankRequest,
     TopicsRequest,
+    parse_explain_request,
     parse_perturbation,
 )
+from repro.core.explain import DEFAULT_STRATEGY
 from repro.core.perturbations import RemoveSentences, RemoveTerm, ReplaceTerm
 from repro.errors import BadRequestError
 
@@ -38,33 +37,21 @@ class TestRankRequest:
 
 
 class TestExplanationRequests:
-    def test_document_request(self):
-        request = DocumentExplanationRequest.parse(
+    def test_explain_request(self):
+        request = parse_explain_request(
             {"query": "q", "doc_id": "d", "n": 2, "k": 5}
         )
         assert (request.n, request.k) == (2, 5)
 
-    def test_document_request_caps_n(self):
-        with pytest.raises(BadRequestError):
-            DocumentExplanationRequest.parse(
-                {"query": "q", "doc_id": "d", "n": 101}
-            )
-
-    def test_query_request_threshold_within_k(self):
-        with pytest.raises(BadRequestError, match="threshold"):
-            QueryExplanationRequest.parse(
-                {"query": "q", "doc_id": "d", "k": 5, "threshold": 6}
-            )
-
-    def test_instance_request_method_validated(self):
+    def test_explain_request_rejects_method_field(self):
         with pytest.raises(BadRequestError, match="method"):
-            InstanceExplanationRequest.parse(
+            parse_explain_request(
                 {"query": "q", "doc_id": "d", "method": "magic"}
             )
 
-    def test_instance_request_defaults(self):
-        request = InstanceExplanationRequest.parse({"query": "q", "doc_id": "d"})
-        assert request.method == "doc2vec_nearest"
+    def test_explain_request_defaults(self):
+        request = parse_explain_request({"query": "q", "doc_id": "d"})
+        assert request.strategy == DEFAULT_STRATEGY
         assert request.samples == 50
 
 

@@ -1,6 +1,6 @@
 """Integration tests for the unified explanation routes:
-``POST /explanations``, ``POST /explanations/batch``, ``GET /strategies``,
-and legacy-route equivalence."""
+``POST /explanations``, ``POST /explanations/batch`` and
+``GET /strategies``."""
 
 import pytest
 
@@ -99,6 +99,15 @@ class TestUnifiedExplanations:
         assert response.status == 400
         assert "unknown explanation strategy" in response.payload["detail"]
 
+    @pytest.mark.parametrize("alias", ["doc2vec_nearest", "cosine_sampled"])
+    def test_former_alias_is_an_unknown_strategy_400(self, client, alias):
+        response = client.post(
+            "/explanations",
+            {"query": QUERY, "doc_id": FAKE_NEWS_DOC_ID, "strategy": alias},
+        )
+        assert response.status == 400
+        assert "unknown explanation strategy" in response.payload["detail"]
+
     def test_unavailable_strategy_400(self, client):
         response = client.post(
             "/explanations",
@@ -118,8 +127,8 @@ class TestUnifiedExplanations:
         assert response.status == 400
 
     def test_unknown_field_rejected_not_ignored(self, client):
-        # The legacy instance-route shape must not silently run the
-        # default strategy on the unified route.
+        # A `method` field (the instance family's output name, not a
+        # request field) must not silently run the default strategy.
         response = client.post(
             "/explanations",
             {
@@ -148,6 +157,28 @@ class TestUnifiedExplanations:
             ).status
             == 400
         )
+
+    def test_n_above_cap_400(self, client):
+        response = client.post(
+            "/explanations",
+            {"query": QUERY, "doc_id": FAKE_NEWS_DOC_ID, "n": 101},
+        )
+        assert response.status == 400
+        assert "'n'" in response.payload["detail"]
+
+    def test_threshold_beyond_k_400(self, client):
+        response = client.post(
+            "/explanations",
+            {
+                "query": QUERY,
+                "doc_id": FAKE_NEWS_DOC_ID,
+                "strategy": "query/augmentation",
+                "k": 5,
+                "threshold": 6,
+            },
+        )
+        assert response.status == 400
+        assert "threshold" in response.payload["detail"]
 
 
 class TestBatchEndpoint:
@@ -193,47 +224,32 @@ class TestBatchEndpoint:
         assert response.status == 400
 
 
-class TestLegacyRouteEquivalence:
-    def test_document_route_matches_unified(self, client):
-        legacy = client.post(
-            "/explanations/document",
-            {"query": QUERY, "doc_id": FAKE_NEWS_DOC_ID, "n": 1, "k": 10},
-        )
-        unified = client.post(
-            "/explanations",
-            {
-                "query": QUERY,
-                "doc_id": FAKE_NEWS_DOC_ID,
-                "strategy": "document/sentence-removal",
-                "n": 1,
-                "k": 10,
-            },
-        )
-        assert legacy.status == unified.status == 200
-        assert legacy.payload["explanations"] == unified.payload["explanations"]
+class TestOneExplainSurface:
+    def test_pre_redesign_surfaces_are_gone(self, client, capsys):
+        """The per-family routes, CLI commands and strategy aliases were
+        removed; ``POST /explanations`` and ``explain --strategy`` remain."""
+        from repro.cli import main
+        from repro.core.engine import CredenceEngine
+        from repro.core.registry import DEFAULT_REGISTRY
+        from repro.errors import UnknownStrategyError
 
-    def test_instance_route_accepts_legacy_method_names(self, client):
-        legacy = client.post(
-            "/explanations/instance",
-            {
-                "query": QUERY,
-                "doc_id": FAKE_NEWS_DOC_ID,
-                "method": "cosine_sampled",
-                "samples": 30,
-            },
-        )
-        unified = client.post(
-            "/explanations",
-            {
-                "query": QUERY,
-                "doc_id": FAKE_NEWS_DOC_ID,
-                "strategy": "cosine_sampled",
-                "samples": 30,
-            },
-        )
-        assert legacy.status == unified.status == 200
-        assert unified.payload["strategy"] == "instance/cosine"
-        assert legacy.payload["explanations"] == unified.payload["explanations"]
+        body = {"query": QUERY, "doc_id": FAKE_NEWS_DOC_ID}
+        for family in ("document", "query", "instance"):
+            assert client.post(f"/explanations/{family}", body).status == 404
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explain-document", "--query", QUERY, "--doc", FAKE_NEWS_DOC_ID])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        for alias in ("doc2vec_nearest", "cosine_sampled"):
+            with pytest.raises(UnknownStrategyError):
+                DEFAULT_REGISTRY.resolve(alias)
+        for shim in (
+            "explain_document",
+            "explain_query",
+            "explain_instance_doc2vec",
+            "explain_instance_cosine",
+        ):
+            assert not hasattr(CredenceEngine, shim)
 
 
 class TestSearchOptions:

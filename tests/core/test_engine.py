@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.engine import CredenceEngine, EngineConfig, RANKER_CHOICES
+from repro.core.explain import ExplainRequest
 from repro.core.perturbations import RemoveTerm
 from repro.datasets.covid import FAKE_NEWS_DOC_ID
 from repro.errors import ConfigurationError
@@ -92,21 +93,34 @@ class TestFacadeMethods:
         assert len(ranking) <= len(bm25_engine.index)
 
     def test_explain_document_routes(self, bm25_engine):
-        result = bm25_engine.explain_document(QUERY, FAKE_NEWS_DOC_ID, n=1, k=10)
+        result = bm25_engine.explain(
+            ExplainRequest(
+                QUERY, FAKE_NEWS_DOC_ID, strategy="document/sentence-removal",
+                n=1, k=10,
+            )
+        )
         assert len(result) == 1
 
     def test_explain_query_routes(self, bm25_engine):
-        result = bm25_engine.explain_query(
-            QUERY, FAKE_NEWS_DOC_ID, n=1, k=10, threshold=2
+        result = bm25_engine.explain(
+            ExplainRequest(
+                QUERY, FAKE_NEWS_DOC_ID, strategy="query/augmentation",
+                n=1, k=10, threshold=2,
+            )
         )
         assert len(result) == 1
 
     def test_instance_explainers_route(self, bm25_engine):
-        doc2vec = bm25_engine.explain_instance_doc2vec(
-            QUERY, FAKE_NEWS_DOC_ID, n=1, k=10
+        doc2vec = bm25_engine.explain(
+            ExplainRequest(
+                QUERY, FAKE_NEWS_DOC_ID, strategy="instance/doc2vec", n=1, k=10
+            )
         )
-        cosine = bm25_engine.explain_instance_cosine(
-            QUERY, FAKE_NEWS_DOC_ID, n=1, k=10, samples=20
+        cosine = bm25_engine.explain(
+            ExplainRequest(
+                QUERY, FAKE_NEWS_DOC_ID, strategy="instance/cosine",
+                n=1, k=10, samples=20,
+            )
         )
         assert doc2vec[0].method == "doc2vec_nearest"
         assert cosine[0].method == "cosine_sampled"

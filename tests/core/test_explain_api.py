@@ -1,15 +1,9 @@
 """Tests for the unified explanation API: ExplainRequest/Response,
-engine.explain, explain_batch, memoization, and the deprecation shims."""
-
-import warnings
+engine.explain, explain_batch, and memoization."""
 
 import pytest
 
-from repro.core.explain import (
-    DEFAULT_STRATEGY,
-    ExplainRequest,
-    ExplainResponse,
-)
+from repro.core.explain import DEFAULT_STRATEGY, ExplainRequest
 from repro.datasets.covid import FAKE_NEWS_DOC_ID
 from repro.errors import (
     ConfigurationError,
@@ -62,12 +56,6 @@ class TestExplainRequest:
                 {"query": QUERY, "doc_id": FAKE_NEWS_DOC_ID, "shards": 4}
             )
 
-    def test_with_strategy(self):
-        request = ExplainRequest(QUERY, FAKE_NEWS_DOC_ID)
-        retargeted = request.with_strategy("query/augmentation")
-        assert retargeted.strategy == "query/augmentation"
-        assert retargeted.query == request.query
-
 
 class TestEngineExplain:
     @pytest.mark.parametrize(
@@ -89,19 +77,21 @@ class TestEngineExplain:
         assert len(response) >= 1
         assert response.elapsed_seconds > 0.0
 
-    def test_keyword_form(self, bm25_engine):
+    def test_query_family_request(self, bm25_engine):
         response = bm25_engine.explain(
-            query=QUERY, doc_id=FAKE_NEWS_DOC_ID, strategy="query/augmentation",
-            n=2, threshold=2,
+            ExplainRequest(
+                QUERY, FAKE_NEWS_DOC_ID, strategy="query/augmentation",
+                n=2, threshold=2,
+            )
         )
         assert len(response) == 2
         assert all(e.new_rank <= 2 for e in response)
 
-    def test_request_and_kwargs_mutually_exclusive(self, bm25_engine):
-        with pytest.raises(ConfigurationError):
-            bm25_engine.explain(
-                ExplainRequest(QUERY, FAKE_NEWS_DOC_ID), n=2
-            )
+    def test_request_is_the_only_call_form(self, bm25_engine):
+        with pytest.raises(TypeError):
+            bm25_engine.explain(query=QUERY, doc_id=FAKE_NEWS_DOC_ID)
+        with pytest.raises(TypeError):
+            bm25_engine.explain(ExplainRequest(QUERY, FAKE_NEWS_DOC_ID), n=2)
 
     def test_unknown_strategy_raises(self, bm25_engine):
         with pytest.raises(UnknownStrategyError, match="registered:"):
@@ -109,12 +99,12 @@ class TestEngineExplain:
                 ExplainRequest(QUERY, FAKE_NEWS_DOC_ID, strategy="magic/crystal")
             )
 
-    def test_legacy_alias_accepted(self, bm25_engine):
-        response = bm25_engine.explain(
-            ExplainRequest(QUERY, FAKE_NEWS_DOC_ID, strategy="cosine_sampled",
-                           samples=30)
-        )
-        assert response.strategy == "instance/cosine"
+    def test_output_method_name_is_not_a_strategy(self, bm25_engine):
+        with pytest.raises(UnknownStrategyError):
+            bm25_engine.explain(
+                ExplainRequest(QUERY, FAKE_NEWS_DOC_ID, strategy="cosine_sampled",
+                               samples=30)
+            )
 
     def test_ltr_strategy_unavailable_on_lexical_ranker(self, bm25_engine):
         with pytest.raises(StrategyUnavailableError):
@@ -203,49 +193,3 @@ class TestMemoization:
         assert first is second
         # and it holds the engine's lazily-trained (cached) model
         assert bm25_engine.doc2vec is bm25_engine.doc2vec
-
-
-class TestDeprecatedShims:
-    def test_shims_warn_and_match_unified_results(self, bm25_engine):
-        cases = [
-            (
-                lambda: bm25_engine.explain_document(QUERY, FAKE_NEWS_DOC_ID),
-                ExplainRequest(QUERY, FAKE_NEWS_DOC_ID,
-                               strategy="document/sentence-removal"),
-            ),
-            (
-                lambda: bm25_engine.explain_query(
-                    QUERY, FAKE_NEWS_DOC_ID, n=2, threshold=2
-                ),
-                ExplainRequest(QUERY, FAKE_NEWS_DOC_ID,
-                               strategy="query/augmentation", n=2, threshold=2),
-            ),
-            (
-                lambda: bm25_engine.explain_instance_doc2vec(
-                    QUERY, FAKE_NEWS_DOC_ID
-                ),
-                ExplainRequest(QUERY, FAKE_NEWS_DOC_ID,
-                               strategy="instance/doc2vec"),
-            ),
-            (
-                lambda: bm25_engine.explain_instance_cosine(
-                    QUERY, FAKE_NEWS_DOC_ID, samples=30
-                ),
-                ExplainRequest(QUERY, FAKE_NEWS_DOC_ID,
-                               strategy="instance/cosine", samples=30),
-            ),
-        ]
-        for legacy_call, request in cases:
-            with pytest.deprecated_call():
-                legacy = legacy_call()
-            unified = bm25_engine.explain(request)
-            assert [e.to_dict() for e in legacy] == [
-                e.to_dict() for e in unified.result
-            ]
-
-    def test_shim_returns_explanation_set(self, bm25_engine):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = bm25_engine.explain_document(QUERY, FAKE_NEWS_DOC_ID)
-        assert hasattr(result, "candidates_evaluated")
-        assert not isinstance(result, ExplainResponse)

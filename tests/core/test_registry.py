@@ -42,9 +42,10 @@ class TestDefaultRegistry:
         names = DEFAULT_REGISTRY.names()
         assert list(names) == sorted(names)
 
-    def test_resolve_alias(self):
-        assert DEFAULT_REGISTRY.resolve("doc2vec_nearest") == "instance/doc2vec"
-        assert DEFAULT_REGISTRY.resolve("cosine_sampled") == "instance/cosine"
+    def test_resolve_is_a_plain_lookup(self):
+        assert DEFAULT_REGISTRY.resolve("instance/doc2vec").name == "instance/doc2vec"
+        with pytest.raises(UnknownStrategyError):
+            DEFAULT_REGISTRY.resolve("doc2vec_nearest")
 
     def test_resolve_unknown_raises_with_known_list(self):
         with pytest.raises(UnknownStrategyError) as excinfo:

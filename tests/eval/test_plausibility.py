@@ -53,11 +53,12 @@ class TestPlausibilityRatio:
 
     def test_real_explanation_plausibility(self, bm25_engine):
         """End to end: the Fig. 2 perturbation stays near ratio 1."""
+        from repro.core.explain import ExplainRequest
         from repro.datasets.covid import DEMO_QUERY, FAKE_NEWS_DOC_ID
 
         lm = CorpusLanguageModel(bm25_engine.index)
-        explanation = bm25_engine.explain_document(
-            DEMO_QUERY, FAKE_NEWS_DOC_ID, n=1, k=10
+        explanation = bm25_engine.explain(
+            ExplainRequest(DEMO_QUERY, FAKE_NEWS_DOC_ID, n=1, k=10)
         )[0]
         original = bm25_engine.document(FAKE_NEWS_DOC_ID).body
         ratio = lm.plausibility_ratio(original, explanation.perturbed_body)

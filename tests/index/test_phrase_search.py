@@ -87,30 +87,17 @@ class TestPersistence:
         assert np.allclose(loaded.doc_vectors, model.doc_vectors)
         assert loaded.similarity("a", "b") == pytest.approx(model.similarity("a", "b"))
 
-    def test_neural_roundtrip(self, tmp_path, tiny_index):
-        from repro.ranking.neural import train_neural_ranker
-        from repro.ranking.persistence import load_neural_ranker, save_neural_ranker
+    def test_wrong_kind_rejected(self, tmp_path):
+        from repro.embeddings.doc2vec import train_doc2vec
+        from repro.embeddings.persistence import load_word2vec, save_doc2vec
 
-        ranker = train_neural_ranker(
-            tiny_index, ["covid outbreak"], epochs=2, seed=1
+        model = train_doc2vec(
+            {"a": ["covid", "outbreak"], "b": ["market", "stocks"]},
+            dimension=8,
+            epochs=1,
+            seed=1,
         )
-        path = tmp_path / "mlp.npz"
-        save_neural_ranker(ranker, path)
-        loaded = load_neural_ranker(path, tiny_index)
-        assert loaded.score_text("covid outbreak", "covid text") == pytest.approx(
-            ranker.score_text("covid outbreak", "covid text")
-        )
-        assert loaded.rank("covid outbreak", 3).doc_ids == ranker.rank(
-            "covid outbreak", 3
-        ).doc_ids
-
-    def test_wrong_kind_rejected(self, tmp_path, tiny_index):
-        from repro.embeddings.persistence import load_word2vec
-        from repro.ranking.neural import train_neural_ranker
-        from repro.ranking.persistence import save_neural_ranker
-
-        ranker = train_neural_ranker(tiny_index, ["covid"], epochs=1, seed=1)
-        path = tmp_path / "mlp.npz"
-        save_neural_ranker(ranker, path)
+        path = tmp_path / "d2v.npz"
+        save_doc2vec(model, path)
         with pytest.raises(ValueError, match="expected a word2vec"):
             load_word2vec(path)

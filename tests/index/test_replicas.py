@@ -129,7 +129,9 @@ class TestReplicaIndex:
             index.add(Document("doc-new", "late breaking covid report."))
             save_v3(index, path)
             deadline = time.monotonic() + 5.0
-            while replica.generation < 2 and time.monotonic() < deadline:
+            # Wait for the callback, not the generation: the watcher
+            # bumps the generation before it calls on_refresh.
+            while not refreshed and time.monotonic() < deadline:
                 time.sleep(0.02)
             assert replica.generation == 2
             assert refreshed == [2]

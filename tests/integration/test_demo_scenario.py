@@ -3,10 +3,18 @@ under the neural retrieve-rerank pipeline — the paper's actual setup."""
 
 import pytest
 
+from repro.core.explain import ExplainRequest
 from repro.core.perturbations import RemoveTerm, ReplaceTerm
 from repro.datasets.covid import DEMO_QUERY, FAKE_NEWS_DOC_ID, NEAR_COPY_DOC_ID
 
 K = 10
+
+
+def _explain(engine, strategy, **knobs):
+    """The demo instance explained under ``strategy`` at cutoff K."""
+    return engine.explain(
+        ExplainRequest(DEMO_QUERY, FAKE_NEWS_DOC_ID, strategy=strategy, k=K, **knobs)
+    )
 
 
 class TestScenarioSetup:
@@ -28,15 +36,13 @@ class TestScenarioSetup:
 
 class TestFig2DocumentCounterfactual:
     def test_sentence_removal_demotes_beyond_k(self, neural_engine):
-        result = neural_engine.explain_document(DEMO_QUERY, FAKE_NEWS_DOC_ID, n=1, k=K)
+        result = _explain(neural_engine, "document/sentence-removal", n=1)
         assert len(result) == 1
         explanation = result[0]
         assert explanation.new_rank == K + 1  # "rank of 11 surpasses k = 10"
 
     def test_removed_sentences_mention_both_query_terms(self, neural_engine):
-        explanation = neural_engine.explain_document(
-            DEMO_QUERY, FAKE_NEWS_DOC_ID, n=1, k=K
-        )[0]
+        explanation = _explain(neural_engine, "document/sentence-removal", n=1)[0]
         analyzer = neural_engine.index.analyzer
         for sentence in explanation.removed_sentences:
             terms = set(analyzer.analyze(sentence.text))
@@ -44,61 +50,45 @@ class TestFig2DocumentCounterfactual:
 
     def test_combined_importance_is_four(self, neural_engine):
         """Both sentences score 2; their combination scores 4 (Fig. 2)."""
-        explanation = neural_engine.explain_document(
-            DEMO_QUERY, FAKE_NEWS_DOC_ID, n=1, k=K
-        )[0]
+        explanation = _explain(neural_engine, "document/sentence-removal", n=1)[0]
         assert explanation.importance == 4.0
 
 
 class TestFig3QueryCounterfactual:
     def test_seven_explanations_with_threshold_two(self, neural_engine):
-        result = neural_engine.explain_query(
-            DEMO_QUERY, FAKE_NEWS_DOC_ID, n=7, k=K, threshold=2
-        )
+        result = _explain(neural_engine, "query/augmentation", n=7, threshold=2)
         assert len(result) == 7
         assert all(e.new_rank <= 2 for e in result)
 
     def test_conspiracy_terms_lead_the_explanations(self, neural_engine):
-        result = neural_engine.explain_query(
-            DEMO_QUERY, FAKE_NEWS_DOC_ID, n=7, k=K, threshold=2
-        )
+        result = _explain(neural_engine, "query/augmentation", n=7, threshold=2)
         first_terms = set(result[0].added_terms)
         assert first_terms & {"5g", "microchip"}
 
     def test_augmentations_preserve_original_query(self, neural_engine):
-        result = neural_engine.explain_query(
-            DEMO_QUERY, FAKE_NEWS_DOC_ID, n=3, k=K, threshold=2
-        )
+        result = _explain(neural_engine, "query/augmentation", n=3, threshold=2)
         assert all(e.augmented_query.startswith(DEMO_QUERY) for e in result)
 
     def test_rank_one_reachable(self, neural_engine):
         """Fig. 3 reports rank 1/10 for 'covid outbreak 5G microchip'."""
-        result = neural_engine.explain_query(
-            DEMO_QUERY, FAKE_NEWS_DOC_ID, n=1, k=K, threshold=1
-        )
+        result = _explain(neural_engine, "query/augmentation", n=1, threshold=1)
         assert result[0].new_rank == 1
 
 
 class TestFig4InstanceCounterfactual:
     def test_doc2vec_nearest_finds_near_copy(self, neural_engine):
-        result = neural_engine.explain_instance_doc2vec(
-            DEMO_QUERY, FAKE_NEWS_DOC_ID, n=1, k=K
-        )
+        result = _explain(neural_engine, "instance/doc2vec", n=1)
         explanation = result[0]
         assert explanation.counterfactual_doc_id == NEAR_COPY_DOC_ID
         assert explanation.similarity_percent >= 75.0  # paper reports 75%
 
     def test_cosine_sampled_finds_near_copy_with_full_coverage(self, neural_engine):
-        result = neural_engine.explain_instance_cosine(
-            DEMO_QUERY, FAKE_NEWS_DOC_ID, n=1, k=K, samples=500
-        )
+        result = _explain(neural_engine, "instance/cosine", n=1, samples=500)
         assert result[0].counterfactual_doc_id == NEAR_COPY_DOC_ID
 
     def test_instance_absent_from_original_ranking(self, neural_engine):
         ranking = neural_engine.rank(DEMO_QUERY, k=K)
-        result = neural_engine.explain_instance_doc2vec(
-            DEMO_QUERY, FAKE_NEWS_DOC_ID, n=3, k=K
-        )
+        result = _explain(neural_engine, "instance/doc2vec", n=3)
         for explanation in result:
             assert explanation.counterfactual_doc_id not in ranking
 
@@ -145,6 +135,6 @@ class TestBlackBoxGenerality:
         ranking = engine.rank(DEMO_QUERY, k=K)
         if FAKE_NEWS_DOC_ID not in ranking:
             pytest.skip(f"{ranker_name} does not rank the fake article top-{K}")
-        result = engine.explain_document(DEMO_QUERY, FAKE_NEWS_DOC_ID, n=1, k=K)
+        result = _explain(engine, "document/sentence-removal", n=1)
         assert len(result) == 1
         assert result[0].new_rank > K

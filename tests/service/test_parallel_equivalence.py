@@ -1,7 +1,7 @@
 """Acceptance: parallel execution is byte-identical to the sequential path.
 
 Runs the same request workload through sequential ``explain_batch``,
-``explain_batch(parallel=4)``, and the async job path, and compares the
+``explain_batch(workers=4)``, and the async job path, and compares the
 serialised payloads byte-for-byte (modulo wall-clock timing, which is
 measurement, not result). The workload repeats requests so the parallel
 paths also exercise the result store — cached responses must be the
@@ -93,7 +93,7 @@ class TestParallelEquivalence:
         sequential = fresh_engine().explain_batch(requests)
         parallel_engine = fresh_engine()
         try:
-            parallel = parallel_engine.explain_batch(requests, parallel=4)
+            parallel = parallel_engine.explain_batch(requests, workers=4)
         finally:
             parallel_engine.service().shutdown()
         assert _canonical(parallel) == _canonical(sequential)
@@ -120,18 +120,17 @@ class TestParallelEquivalence:
         sequential = fresh_engine().explain_batch(requests)
         engine = fresh_engine()
         try:
-            parallel = engine.explain_batch(requests, parallel=2)
+            parallel = engine.explain_batch(requests, workers=2)
         finally:
             engine.service().shutdown()
         assert _canonical(parallel) == _canonical(sequential)
 
-    def test_parallel_true_uses_the_service_pool(self, fresh_engine, doc_ids):
-        """Regression: True == 1 in Python, so a naive `parallel != 1`
-        guard silently routed parallel=True to the sequential loop."""
+    def test_workers_one_uses_the_service_pool(self, fresh_engine, doc_ids):
+        """``workers=1`` is a one-worker pool, not the sequential loop."""
         requests = _workload(doc_ids)[:4]
         engine = fresh_engine()
         try:
-            responses = engine.explain_batch(requests, parallel=True)
+            responses = engine.explain_batch(requests, workers=1)
             assert engine._service is not None  # the pool really ran
             assert engine.service().metrics.counter("jobs_submitted") == 1
             assert _canonical(responses) == _canonical(
@@ -140,28 +139,22 @@ class TestParallelEquivalence:
         finally:
             engine.service().shutdown()
 
-    def test_sequential_path_unaffected_by_parallel_flag_values(
+    def test_sequential_path_when_no_fan_out_is_named(
         self, fresh_engine, doc_ids
     ):
         requests = _workload(doc_ids)[:3]
         engine = fresh_engine()
         baseline = engine.explain_batch(requests)
-        assert _canonical(engine.explain_batch(requests, parallel=None)) == (
-            _canonical(baseline)
-        )
-        assert _canonical(engine.explain_batch(requests, parallel=False)) == (
-            _canonical(baseline)
-        )
-        assert _canonical(engine.explain_batch(requests, parallel=1)) == (
-            _canonical(baseline)
-        )
-        assert engine._service is None  # those flags never built a service
+        assert _canonical(
+            engine.explain_batch(requests, workers=None, executor=None)
+        ) == _canonical(baseline)
+        assert engine._service is None  # the sequential loop built no service
 
-    def test_executor_thread_engages_pool_without_parallel(
+    def test_executor_thread_engages_pool_without_workers(
         self, fresh_engine, doc_ids
     ):
         """``executor="thread"`` alone opts into the worker pool — it
-        must not silently run sequential just because parallel is unset."""
+        must not silently run sequential just because workers is unset."""
         requests = _workload(doc_ids)[:4]
         engine = fresh_engine()
         try:
@@ -246,7 +239,7 @@ class TestProcessTierEquivalence:
         process_engine = build()
         try:
             process = process_engine.explain_batch(
-                requests, parallel=2, executor="process"
+                requests, workers=2, executor="process"
             )
         finally:
             process_engine.service().shutdown()

@@ -34,48 +34,6 @@ class TestRank:
         assert "d5" in out  # the doc mentioning covid twice ranks first
 
 
-class TestExplainCommands:
-    def test_explain_document(self, capsys):
-        code = main(
-            [
-                "explain-document",
-                "--query", DEMO_QUERY,
-                "--doc", FAKE_NEWS_DOC_ID,
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "removing sentence(s)" in out
-
-    def test_explain_query(self, capsys):
-        code = main(
-            [
-                "explain-query",
-                "--query", DEMO_QUERY,
-                "--doc", FAKE_NEWS_DOC_ID,
-                "--n", "2",
-                "--threshold", "2",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert DEMO_QUERY in out
-
-    def test_explain_instance_cosine(self, capsys):
-        code = main(
-            [
-                "explain-instance",
-                "--query", DEMO_QUERY,
-                "--doc", FAKE_NEWS_DOC_ID,
-                "--method", "cosine_sampled",
-                "--samples", "30",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "%" in out
-
-
 class TestUnifiedExplain:
     def test_explain_document_strategy(self, capsys):
         code = main(
@@ -105,13 +63,13 @@ class TestUnifiedExplain:
         assert code == 0
         assert DEMO_QUERY in out
 
-    def test_explain_instance_alias_strategy(self, capsys):
+    def test_explain_instance_cosine_strategy(self, capsys):
         code = main(
             [
                 "explain",
                 "--query", DEMO_QUERY,
                 "--doc", FAKE_NEWS_DOC_ID,
-                "--strategy", "cosine_sampled",
+                "--strategy", "instance/cosine",
                 "--samples", "30",
             ]
         )
@@ -146,6 +104,19 @@ class TestUnifiedExplain:
                     "--strategy", "magic/crystal",
                 ]
             )
+
+    @pytest.mark.parametrize("alias", ["doc2vec_nearest", "cosine_sampled"])
+    def test_former_alias_rejected_by_parser(self, alias):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "explain",
+                    "--query", DEMO_QUERY,
+                    "--doc", FAKE_NEWS_DOC_ID,
+                    "--strategy", alias,
+                ]
+            )
+        assert excinfo.value.code == 2
 
     def test_unavailable_strategy_clean_error(self, capsys):
         code = main(
@@ -183,6 +154,40 @@ class TestUnifiedExplain:
         assert code == 0
         names = {record["name"] for record in payload["strategies"]}
         assert "instance/doc2vec" in names
+
+
+class TestExplainBatch:
+    """Several ``--doc`` flags, or ``--workers``/``--executor``, run
+    ``explain_batch``; single-request features are refused there."""
+
+    _ARGS = ["explain", "--query", DEMO_QUERY, "--doc", FAKE_NEWS_DOC_ID]
+
+    def test_workers_batch_envelope(self, capsys):
+        code = main(
+            self._ARGS + ["--doc", "covid-genuine-05", "--workers", "2", "--json"]
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert [r["doc_id"] for r in payload["responses"]] == [
+            FAKE_NEWS_DOC_ID,
+            "covid-genuine-05",
+        ]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--doc", "covid-genuine-01", "--stream"],
+            ["--doc", "covid-genuine-01", "--profile"],
+            ["--workers", "2", "--stream"],
+            ["--executor", "thread", "--profile"],
+        ],
+    )
+    def test_single_request_flags_rejected_on_batch(self, capsys, extra):
+        code = main(self._ARGS + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--stream and --profile" in captured.err
+        assert captured.out == ""
 
 
 class TestBuilder:

@@ -1,6 +1,6 @@
 """Doc-sync guard: the documentation cannot silently rot.
 
-Three contracts, enforced so the docs added with the sharded backend
+Four contracts, enforced so the docs added with the sharded backend
 stay true as the public surface evolves:
 
 1. every public symbol exported from ``repro/__init__.py`` has a
@@ -8,7 +8,8 @@ stay true as the public surface evolves:
    documentation set;
 2. the documentation set itself exists and is substantive (README,
    architecture guide, cookbook, API hub and its per-area pages);
-3. every relative link between markdown documents resolves.
+3. every relative link between markdown documents resolves;
+4. no document or example names a removed explain surface.
 """
 
 import inspect
@@ -100,7 +101,7 @@ EXECUTION_TIER_NEEDLES = {
         "BENCH_process_tier.json",
     ),
     "docs/api/cli.md": (
-        "--parallel",
+        "--workers",
         "--executor",
         "serve --executor process",
     ),
@@ -156,6 +157,46 @@ def test_docs_cover_the_eval_harness(name):
     assert not missing, (
         f"{name} no longer documents the evaluation harness: {missing}"
     )
+
+
+#: Explain surfaces that were removed in favour of ``engine.explain``,
+#: ``POST /explanations`` and ``explain --strategy``; no document or
+#: example may name them again.
+REMOVED_SURFACES = (
+    "explain_document(",
+    "explain_query(",
+    "explain_instance_doc2vec",
+    "explain_instance_cosine",
+    "/explanations/document",
+    "/explanations/query",
+    "/explanations/instance",
+    "explain-document",
+    "explain-query",
+    "explain-instance",
+    "DocumentExplanationRequest",
+    "QueryExplanationRequest",
+    "InstanceExplanationRequest",
+    "STRATEGY_ALIASES",
+    "with_strategy",
+    "parallel=",
+    "--parallel",
+)
+
+
+def _user_facing_files():
+    yield REPO_ROOT / "README.md"
+    yield from sorted((REPO_ROOT / "docs").rglob("*.md"))
+    yield from sorted((REPO_ROOT / "examples").glob("*.py"))
+
+
+def test_docs_and_examples_name_no_removed_surface():
+    named = [
+        f"{path.relative_to(REPO_ROOT)}: {needle}"
+        for path in _user_facing_files()
+        for needle in REMOVED_SURFACES
+        if needle in path.read_text(encoding="utf-8")
+    ]
+    assert not named, f"removed explain surfaces are still documented: {named}"
 
 
 _LINK = re.compile(r"\[[^\]]+\]\(([^)#]+)(?:#[^)]*)?\)")
