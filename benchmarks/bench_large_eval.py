@@ -197,7 +197,7 @@ def test_streaming_ingest_at_scale(capsys):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scale.v3"
         start = time.perf_counter()
-        save_index(index, path, format="v3")
+        save_index(index, path)
         save_seconds = time.perf_counter() - start
         start = time.perf_counter()
         attached = load_index(path)

@@ -3,7 +3,7 @@
 Walks the v3 persistence surface:
 
 1. build a sharded corpus and commit it as a packed v3 index
-   (``save_index(..., format="v3")``);
+   (``save_index(engine.index, path)``);
 2. warm-restart an engine from disk (``CredenceEngine.load`` — O(1)
    attach, no posting rebuild) and show the ranking is byte-identical
    to the live engine's;
@@ -48,9 +48,9 @@ def main() -> None:
 
     # -- 1. commit a packed v3 index --------------------------------------
     live = CredenceEngine(
-        covid_corpus(), EngineConfig(ranker="bm25", seed=5), shards=4
+        covid_corpus(), EngineConfig(ranker="bm25", seed=5, shards=4)
     )
-    save_index(live.index, path, format="v3")
+    save_index(live.index, path)
     files = sorted(p.name for p in workdir.iterdir())
     print(f"committed generation 1 to {path.name}: {files}")
     reference = show("live engine (in memory)", live)
@@ -87,7 +87,7 @@ def main() -> None:
             )
         ]
     )
-    save_index(live.index, path, format="v3")
+    save_index(live.index, path)
     print("\nwriter committed generation 2 (replicas still on 1)")
     for number, replica in enumerate(replicas, start=1):
         swapped = replica.refresh()

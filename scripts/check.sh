@@ -44,10 +44,6 @@ echo "== smoke: sharded parallel-ingest benchmark (>= 2x full target) =="
 SHARDED_INGEST_SMOKE=1 python -m pytest -q benchmarks/bench_sharded_ingest.py
 
 echo
-echo "== smoke: v3 cold-load benchmark (>= 10x full attach target) =="
-PERSIST_SMOKE=1 python -m pytest -q benchmarks/bench_persist.py
-
-echo
 echo "== smoke: tracing overhead benchmark (no-op path + on/off sweeps) =="
 OBS_SMOKE=1 python -m pytest -q benchmarks/bench_obs.py
 

@@ -33,11 +33,11 @@ with ``search="exhaustive" | "greedy" | "beam" | "anytime"`` plus
 ``beam_width``/``budget``/``deadline_ms`` — see docs/API.md
 ("Search strategies & budgets").
 
-Corpora persist in three on-disk formats (auto-detected on load). The
-packed v3 format (:mod:`repro.index.persist`) gives O(1) warm restarts
-and read-only replicas::
+Corpora persist in one on-disk format, the packed v3 format
+(:mod:`repro.index.persist`), which gives O(1) warm restarts and
+read-only replicas::
 
-    save_index(engine.index, "corpus.idx", format="v3")
+    save_index(engine.index, "corpus.idx")
     engine = CredenceEngine.load("corpus.idx")   # attaches, no rebuild
 
 See :mod:`repro.core` for the explainers and registry, :mod:`repro.api`

@@ -228,24 +228,21 @@ def register_endpoints(
 
     @router.post("/index/save")
     def save_index_route(request: Request):
-        path, format = parse_index_save(request.body)
+        path = parse_index_save(request.body)
         index = engine.index
         if not hasattr(index, "export_snapshot"):
-            # Packed/replica views are already on disk; a rewritten copy
-            # is the compact operation, not a save.
+            # Packed/replica views are already a committed v3 index.
             raise BadRequestError(
-                "this engine serves a read-only on-disk index; use "
-                "'repro compact' to rewrite it"
+                "this engine serves a read-only on-disk index, which is "
+                "already saved"
             )
         from repro.index.storage import save_index
 
         try:
-            save_index(
-                index, path, format=None if format in ("v1", "v2") else "v3"
-            )
+            save_index(index, path)
         except (IndexFormatError, OSError) as error:
             raise BadRequestError(str(error)) from None
-        return HttpResponse(201, {"saved_to": path, "format": format})
+        return HttpResponse(201, {"saved_to": path, "format": "v3"})
 
     @router.post("/index/documents")
     def ingest_documents(request: Request):

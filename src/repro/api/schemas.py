@@ -281,16 +281,10 @@ def parse_index_ingest(
     return documents, workers
 
 
-def parse_index_save(body: Any) -> tuple[str, str]:
-    """Parse ``POST /index/save``: target path plus optional format.
-
-    Body shape: ``{"path": "...", "format"?: "v1"|"v2"|"v3"}`` (default
-    ``"v3"``, the packed format).
-    """
-    from repro.index.storage import FORMAT_CHOICES
-
+def parse_index_save(body: Any) -> str:
+    """Parse ``POST /index/save``: ``{"path": "..."}``, the target path."""
     data = _require_mapping(body)
-    unknown = set(data) - {"path", "format"}
+    unknown = set(data) - {"path"}
     if unknown:
         raise BadRequestError(
             f"unknown field(s): {', '.join(sorted(unknown))}"
@@ -298,12 +292,7 @@ def parse_index_save(body: Any) -> tuple[str, str]:
     path = data.get("path")
     if not isinstance(path, str) or not path.strip():
         raise BadRequestError("'path' must be a non-empty string")
-    format = data.get("format", "v3")
-    if format not in FORMAT_CHOICES:
-        raise BadRequestError(
-            f"'format' must be one of {FORMAT_CHOICES}, got {format!r}"
-        )
-    return path, format
+    return path
 
 
 def parse_perturbation(raw: Any) -> Perturbation:

@@ -22,8 +22,7 @@ bundled demo corpus). Every explanation family runs through one
     python -m repro.cli rank --corpus my_docs.jsonl --ranker bm25 \
         --query "anything"
     python -m repro.cli index --corpus my_docs.jsonl --shards 4 \
-        --workers 4 --save my_index.idx            # packed v3 by default
-    python -m repro.cli compact my_index.idx compacted.idx
+        --workers 4 --save my_index.idx            # packed v3
     python -m repro.cli serve --replica my_index.idx --port 8092
 
 Async jobs against a *running* service (``serve``) go through the
@@ -353,7 +352,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
     import time
 
     from repro.datasets.covid import covid_corpus
-    from repro.index.inverted import InvertedIndex
     from repro.index.sharding import ShardedIndex, build_router
     from repro.index.storage import save_index
 
@@ -363,26 +361,16 @@ def _cmd_index(args: argparse.Namespace) -> int:
         load_jsonl(args.corpus) if args.corpus is not None else covid_corpus()
     )
     start = time.perf_counter()
-    if args.shards > 1:
-        index: InvertedIndex | ShardedIndex = ShardedIndex.from_documents(
-            documents,
-            args.shards,
-            router=build_router(args.router, args.shards),
-            workers=args.workers,
-            executor=args.executor,
-        )
-    else:
-        index = InvertedIndex()
-        index.add_documents(
-            documents, workers=args.workers, executor=args.executor
-        )
+    index = ShardedIndex.from_documents(
+        documents,
+        args.shards,
+        router=build_router(args.router, args.shards),
+        workers=args.workers,
+        executor=args.executor,
+    )
     elapsed = time.perf_counter() - start
     if args.save:
-        # "v2" selects the legacy JSON family (a plain index writes a v1
-        # file, a sharded one a v2 manifest); "v3" the packed format.
-        save_index(
-            index, args.save, format=None if args.format == "v2" else "v3"
-        )
+        save_index(index, args.save)
     stats = index.stats()
     payload = {
         "documents": stats.document_count,
@@ -390,89 +378,27 @@ def _cmd_index(args: argparse.Namespace) -> int:
         "total_terms": stats.total_terms,
         "average_document_length": stats.average_document_length,
         "shards": args.shards,
+        "router": index.router.name,
+        "shard_documents": index.shard_sizes(),
         "workers": args.workers,
         "executor": args.executor or "thread",
         "ingest_seconds": round(elapsed, 4),
         "saved_to": args.save,
-        "format": args.format if args.save else None,
+        "format": "v3" if args.save else None,
     }
     lines = [
         f"indexed {stats.document_count} documents "
         f"({stats.unique_terms} unique terms, "
-        f"avgdl {stats.average_document_length:.1f}) in {elapsed:.2f}s"
+        f"avgdl {stats.average_document_length:.1f}) in {elapsed:.2f}s",
+        f"{index.shard_count} {'shard' if index.shard_count == 1 else 'shards'}"
+        f" ({index.router.name} router): "
+        + ", ".join(
+            f"shard {i}: {size}" for i, size in enumerate(index.shard_sizes())
+        ),
     ]
-    if isinstance(index, ShardedIndex):
-        payload["router"] = index.router.name
-        payload["shard_documents"] = index.shard_sizes()
-        lines.append(
-            f"{index.shard_count} shards ({index.router.name} router): "
-            + ", ".join(
-                f"shard {i}: {size}"
-                for i, size in enumerate(index.shard_sizes())
-            )
-        )
     if args.save:
         lines.append(f"saved to {args.save}")
     _emit(args, payload, "\n".join(lines))
-    return 0
-
-
-def _index_bytes(path) -> int:
-    """Total on-disk bytes of a saved index (manifest + data files)."""
-    from pathlib import Path
-
-    from repro.index.storage import detect_format
-
-    path = Path(path)
-    fmt = detect_format(path)
-    total = path.stat().st_size
-    if fmt == "v3":
-        from repro.index.persist import Manifest
-
-        record = Manifest.open(path).latest_generation()
-        if record is not None:
-            total += sum(segment.bytes for segment in record.segments)
-    elif fmt == "v2":
-        with path.open("r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        total += sum(
-            (path.parent / name).stat().st_size
-            for name in manifest["shard_files"]
-        )
-    return total
-
-
-def _cmd_compact(args: argparse.Namespace) -> int:
-    """Rewrite a saved index into a fresh single-generation copy."""
-    import time
-
-    from repro.index.storage import detect_format, load_index, save_index
-
-    source_format = detect_format(args.src)
-    start = time.perf_counter()
-    index = load_index(args.src, mode="memory")
-    save_index(
-        index, args.dst, format=None if args.format == "v2" else "v3"
-    )
-    elapsed = time.perf_counter() - start
-    payload = {
-        "src": args.src,
-        "dst": args.dst,
-        "src_format": source_format,
-        "dst_format": args.format,
-        "documents": len(index),
-        "src_bytes": _index_bytes(args.src),
-        "dst_bytes": _index_bytes(args.dst),
-        "seconds": round(elapsed, 4),
-    }
-    _emit(
-        args,
-        payload,
-        f"compacted {payload['documents']} documents: "
-        f"{args.src} ({source_format}, {payload['src_bytes']} bytes) -> "
-        f"{args.dst} ({args.format}, {payload['dst_bytes']} bytes) "
-        f"in {elapsed:.2f}s",
-    )
     return 0
 
 
@@ -854,13 +780,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="shard count (1 = a plain single index, the default)",
+        help="shard count (default 1, a one-shard index)",
     )
     index_cmd.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="parallel ingest workers (sharded only; default serial)",
+        help="parallel ingest workers, one per shard at most (default serial)",
     )
     index_cmd.add_argument(
         "--executor",
@@ -876,32 +802,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="document-to-shard routing (default hash)",
     )
     index_cmd.add_argument(
-        "--save", metavar="PATH", help="persist the index (see --format)"
-    )
-    index_cmd.add_argument(
-        "--format",
-        default="v3",
-        choices=("v2", "v3"),
-        help="on-disk format for --save: v3 = packed mmap segments "
-        "(default), v2 = the legacy JSON family",
+        "--save",
+        metavar="PATH",
+        help="commit the index as packed v3 segments + a SQLite manifest",
     )
     index_cmd.add_argument("--json", action="store_true", help="emit raw JSON")
     index_cmd.set_defaults(handler=_cmd_index)
-
-    compact = commands.add_parser(
-        "compact",
-        help="rewrite a saved index into a fresh single-generation copy",
-    )
-    compact.add_argument("src", help="path of the saved index to read")
-    compact.add_argument("dst", help="path to write the compacted index to")
-    compact.add_argument(
-        "--format",
-        default="v3",
-        choices=("v2", "v3"),
-        help="output format (default v3, the packed format)",
-    )
-    compact.add_argument("--json", action="store_true", help="emit raw JSON")
-    compact.set_defaults(handler=_cmd_compact)
 
     serve_cmd = commands.add_parser("serve", help="run the REST service")
     _add_common(serve_cmd)

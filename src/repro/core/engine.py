@@ -15,7 +15,6 @@ from repro.embeddings.doc2vec import Doc2Vec, train_doc2vec
 from repro.embeddings.vectorizers import Bm25Vectorizer
 from repro.errors import ConfigurationError, ReproError
 from repro.index.document import Document
-from repro.index.inverted import InvertedIndex
 from repro.index.sharding import ShardedIndex
 from repro.ranking.base import Ranker, Ranking
 from repro.ranking.bm25 import Bm25Ranker
@@ -59,13 +58,12 @@ class EngineConfig:
         cache_scores: memoise ranker scorings (recommended: the
             counterfactual search re-scores unperturbed documents heavily).
         seed: a single seed that derives every stochastic component.
-        shards: corpus shard count. ``None`` (default) keeps the plain
-            single :class:`InvertedIndex`; any value ≥ 1 builds a
-            :class:`~repro.index.sharding.ShardedIndex` with that many
-            shards — scores and explanations are byte-identical either
-            way.
-        ingest_workers: worker threads for the sharded bulk ingestion
-            (``None`` ingests serially).
+        shards: segment count of the
+            :class:`~repro.index.sharding.ShardedIndex` the engine builds
+            (default 1, a plain corpus) — scores and explanations are
+            byte-identical for any count.
+        ingest_workers: worker threads for the bulk ingestion, one per
+            shard at most (``None`` ingests serially).
     """
 
     ranker: str = "neural"
@@ -77,7 +75,7 @@ class EngineConfig:
     use_semantic_channel: bool = False
     cache_scores: bool = True
     seed: int = 13
-    shards: int | None = None
+    shards: int = 1
     ingest_workers: int | None = None
 
     def __post_init__(self):
@@ -89,9 +87,9 @@ class EngineConfig:
             raise ConfigurationError(
                 "the neural ranker needs training_queries for weak supervision"
             )
-        if self.shards is not None and self.shards < 1:
+        if not isinstance(self.shards, int) or self.shards < 1:
             raise ConfigurationError(
-                f"shards must be ≥ 1, got {self.shards}"
+                f"shards must be an integer ≥ 1, got {self.shards!r}"
             )
         if self.ingest_workers is not None and self.ingest_workers < 1:
             raise ConfigurationError(
@@ -101,6 +99,12 @@ class EngineConfig:
 
 class CredenceEngine:
     """The assembled CREDENCE system over one corpus.
+
+    ``documents`` are ingested into a
+    :class:`~repro.index.sharding.ShardedIndex` of ``config.shards``
+    segments through its memoized bulk ingest (``config.ingest_workers``
+    threads); :meth:`from_index` and :meth:`load` wrap an index that
+    already exists instead.
 
     Ranker precedence: an explicitly passed ``ranker`` object always
     wins. When both ``config`` and ``ranker`` are given, the config's
@@ -115,8 +119,6 @@ class CredenceEngine:
         config: EngineConfig | None = None,
         ranker: Ranker | None = None,
         registry: ExplainerRegistry | None = None,
-        shards: int | None = None,
-        ingest_workers: int | None = None,
         index=None,
     ):
         require(
@@ -131,27 +133,15 @@ class CredenceEngine:
             # An already-built corpus: a live in-memory index, a packed
             # read-only view attached from a v3 save, or a replica. The
             # warm-restart path (:meth:`load`) comes through here.
-            require(
-                shards is None,
-                "shards cannot be combined with an existing index",
-            )
             require(len(index) > 0, "index must be non-empty")
-            self.index: InvertedIndex | ShardedIndex = index
+            self.index = index
         else:
             require(bool(documents), "documents must be non-empty")
-            shard_count = shards if shards is not None else self.config.shards
-            workers = (
-                ingest_workers
-                if ingest_workers is not None
-                else self.config.ingest_workers
+            self.index = ShardedIndex.from_documents(
+                documents,
+                self.config.shards,
+                workers=self.config.ingest_workers,
             )
-            if shard_count is not None:
-                require_positive(shard_count, "shards")
-                self.index = ShardedIndex.from_documents(
-                    documents, shard_count, workers=workers
-                )
-            else:
-                self.index = InvertedIndex.from_documents(documents)
         #: True when the ranker is derived purely from ``EngineConfig``.
         #: The process tier requires this: worker processes rebuild the
         #: ranker from the config, which cannot capture an arbitrary
@@ -195,7 +185,8 @@ class CredenceEngine:
         """Assemble an engine around an already-built index.
 
         Accepts anything exposing the index read surface: a live
-        :class:`InvertedIndex` / :class:`ShardedIndex`, a packed
+        :class:`~repro.index.sharding.ShardedIndex` or bare
+        :class:`~repro.index.inverted.InvertedIndex`, a packed
         read-only view, or a
         :class:`~repro.index.persist.ReplicaIndex`.
         """
@@ -210,15 +201,14 @@ class CredenceEngine:
         registry: ExplainerRegistry | None = None,
         mode: str = "auto",
     ) -> "CredenceEngine":
-        """Warm-restart an engine from a saved index at ``path``.
+        """Warm-restart an engine from a saved v3 index at ``path``.
 
-        The format is auto-detected (v1/v2/v3). For a v3 packed index
-        the default ``mode="auto"`` *attaches* in O(1) — no re-analysis,
-        no posting rebuild — and the index's ``version`` is the commit's
-        content fingerprint, so version-keyed service results computed
-        before a restart remain addressable after it. ``mode="memory"``
-        hydrates a mutable in-memory copy instead (always the case for
-        v1/v2).
+        The default ``mode="auto"`` *attaches* in O(1) — no
+        re-analysis, no posting rebuild — and the index's ``version`` is
+        the commit's content fingerprint, so version-keyed service
+        results computed before a restart remain addressable after it.
+        ``mode="memory"`` hydrates a mutable
+        :class:`~repro.index.sharding.ShardedIndex` instead.
         """
         from repro.index.storage import load_index
 
@@ -303,8 +293,8 @@ class CredenceEngine:
     ) -> int:
         """Bulk-add documents to the corpus; returns the number added.
 
-        Sharded corpora ingest their shards in parallel when ``workers``
-        is set; a plain index ingests serially. ``executor="process"``
+        Shards ingest in parallel when ``workers`` is set (a one-shard
+        corpus ingests serially). ``executor="process"``
         offloads document *analysis* (the CPU-bound part of ingest) to
         worker processes, escaping the GIL on standard builds — the
         resulting index is byte-identical to a serial ingest. Either way
@@ -313,8 +303,6 @@ class CredenceEngine:
         invalidates automatically. Duplicate ids raise ``ValueError``
         before anything mutates.
         """
-        if executor is None:
-            return self.index.add_documents(documents, workers=workers)
         return self.index.add_documents(
             documents, workers=workers, executor=executor
         )

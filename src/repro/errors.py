@@ -45,21 +45,23 @@ class IndexFormatError(ReproError, ValueError):
     """An index file is in an unknown, corrupt, or incompatible format.
 
     Raised by the persistence layer (:mod:`repro.index.storage` and
-    :mod:`repro.index.persist`) instead of leaking ``JSONDecodeError`` /
-    ``sqlite3`` errors; the CLI maps it to exit code 2 and the REST
-    layer to HTTP 400. Subclasses ``ValueError`` for backward
-    compatibility with callers that caught the old dispatch error.
+    :mod:`repro.index.persist`) for any path that is not a committed v3
+    index — a JSON file, a foreign SQLite database, a corrupt manifest or
+    segment — instead of leaking ``sqlite3`` errors; the CLI maps it to
+    exit code 2 and the REST layer to HTTP 400. Subclasses
+    ``ValueError`` for callers that catch bad input generically.
     """
 
 
 class ReadOnlyIndexError(ReproError):
     """A mutation was attempted on a read-only (mmap-attached) index.
 
-    The packed v3 readers (:class:`~repro.index.persist.PackedIndex`,
-    :class:`~repro.index.persist.PackedShardedIndex`) and replica mode
-    serve directly from on-disk segments; to change the corpus, hydrate
-    a mutable copy (``load_index(path, mode="memory")``), mutate it, and
-    commit a new generation with ``save_index``.
+    The packed v3 view (:class:`~repro.index.persist.PackedShardedIndex`
+    and its per-segment :class:`~repro.index.persist.PackedIndex` shards)
+    and replica mode serve directly from on-disk segments; to change the
+    corpus, hydrate a mutable :class:`~repro.index.sharding.ShardedIndex`
+    (``load_index(path, mode="memory")``), mutate it, and commit a new
+    generation with ``save_index``.
     """
 
     def __init__(self, operation: str):

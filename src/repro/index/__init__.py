@@ -4,15 +4,18 @@ This package replaces the paper's Lucene/Pyserini/Anserini stack. It
 provides document storage, postings with positions, collection statistics
 (document frequency, collection frequency, average document length),
 ranked top-k retrieval with pluggable similarities, and persistence in
-three on-disk formats — legacy JSON (v1/v2) and the packed mmap format
-(v3, :mod:`repro.index.persist`) with O(1) warm restart and read-only
+one on-disk format — the packed mmap format (v3,
+:mod:`repro.index.persist`) with O(1) warm restart and read-only
 replicas.
 
-Corpora scale past one in-memory index through the sharded backend
-(:mod:`repro.index.sharding`): a :class:`ShardedIndex` routes documents
-across N shards, keeps merged corpus-level statistics so scores stay
-byte-identical to a single shard, bulk-ingests in parallel, and fans
-retrieval out per shard.
+A corpus has one shape at every layer: an ordered list of segments
+behind a router (:mod:`repro.index.sharding`), where "plain" means one
+segment. A :class:`ShardedIndex` routes documents across N
+:class:`InvertedIndex` shards, keeps merged corpus-level statistics so
+scores stay byte-identical to a bare :class:`InvertedIndex`,
+bulk-ingests through one analysis memo, and fans retrieval out per
+shard; a saved generation stores the same segments, and attaches as a
+:class:`PackedShardedIndex`.
 """
 
 from repro.index.document import Document
@@ -43,7 +46,7 @@ from repro.index.persist import (
     save_v3,
 )
 from repro.index.stats import CollectionStats
-from repro.index.storage import FORMAT_CHOICES, detect_format, load_index, save_index
+from repro.index.storage import load_index, save_index
 
 __all__ = [
     "Document",
@@ -65,12 +68,10 @@ __all__ = [
     "ShardedIndex",
     "ShardRouter",
     "build_router",
-    "FORMAT_CHOICES",
     "PackedIndex",
     "PackedShardedIndex",
     "ReplicaIndex",
     "attach_packed",
-    "detect_format",
     "load_index",
     "save_index",
     "save_v3",

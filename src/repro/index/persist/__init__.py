@@ -1,26 +1,25 @@
-"""Durable v3 index persistence: packed segments + a SQLite manifest.
+"""Durable index persistence: packed segments + a SQLite manifest.
 
-The third on-disk index format, built for warm restarts and read-only
-replicas. Where v1/v2 store documents as JSON and **rebuild** postings
-on load (re-running the analyzer over the whole corpus), v3 stores the
-index itself — postings, positions, term-frequency vectors, documents —
-in mmap-packed binary segments catalogued by a SQLite manifest, so a
-process attaches to a committed index in O(1) and serves lookups
-straight from the page cache.
+The one on-disk index format (v3), built for warm restarts and read-only
+replicas. It stores the index itself — postings, positions,
+term-frequency vectors, documents — in mmap-packed binary segments, one
+per shard, catalogued by a SQLite manifest, so a process attaches to a
+committed index in O(1) and serves lookups straight from the page
+cache. A plain :class:`~repro.index.inverted.InvertedIndex` is saved as
+one segment, so every generation has the same shape.
 
 Public surface:
 
 * :func:`save_v3` — commit a live index as a new generation.
-* :func:`attach_packed` / :class:`PackedIndex` /
-  :class:`PackedShardedIndex` — O(1) read-only attach.
+* :func:`attach_packed` / :class:`PackedShardedIndex` — O(1) read-only
+  attach; :class:`PackedIndex` reads one segment of it.
 * :class:`ReplicaIndex` / :class:`GenerationWatcher` — follow a
   writer's commits from any number of serving processes.
 * :class:`Manifest` / :class:`GenerationRecord` / :func:`is_v3_manifest`
   — the catalogue layer, exposed for tooling and tests.
 
-Format dispatch (``load_index`` auto-detecting v1/v2/v3) lives in
-:mod:`repro.index.storage`, which remains the one entry point for
-loading any index file.
+:mod:`repro.index.storage` (``save_index`` / ``load_index``) is the
+entry point most callers use.
 """
 
 from repro.index.persist.manifest import (

@@ -1,9 +1,11 @@
 """The v3 manifest: a SQLite catalogue of committed index generations.
 
 The manifest file *is* the index path a user saves to — segments live
-next to it as ``<stem>-g<generation>.s<shard>.seg``. It records, per
-generation: the analyzer configuration, the shard layout (router,
-cursor, per-document placements), collection totals, a content-derived
+next to it as ``<stem>-g<generation>.s<shard>.seg``. Every generation
+has one layout: an ordered list of segments behind a router, where a
+plain index is one segment. It records, per generation: the analyzer
+configuration, the router and its cursor, per-document placements,
+the merged term statistics, collection totals, a content-derived
 fingerprint, and the segment files with their sizes and checksums.
 
 Commit protocol (crash-safe by construction):
@@ -36,6 +38,10 @@ from repro.index.persist.varint import read_uvarint, write_uvarint
 #: First bytes of every SQLite database file — the v3 detection probe.
 SQLITE_MAGIC = b"SQLite format 3\x00"
 FORMAT_VERSION = 3
+
+#: The one generation layout: segments behind a router. Stored per row
+#: so a manifest holding any other layout is rejected, not misread.
+LAYOUT = "sharded"
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS repro_meta (
@@ -85,17 +91,18 @@ class GenerationRecord:
     """Everything needed to attach one committed generation."""
 
     generation: int
-    layout: str  # "single" | "sharded"
     shard_count: int
-    router: str | None
+    router: str
     router_cursor: int | None
     analyzer_config: dict
     document_count: int
     total_terms: int
     unique_terms: int
     fingerprint: int
-    placements: tuple[int, ...] | None
-    merged_terms: tuple[tuple[str, int, int], ...] | None
+    #: Shard id of every document, in global insertion order.
+    placements: tuple[int, ...]
+    #: (term, df, cf) in merged insertion order.
+    merged_terms: tuple[tuple[str, int, int], ...]
     segments: tuple[SegmentRecord, ...] = field(default_factory=tuple)
 
 
@@ -128,7 +135,7 @@ def decode_placements(blob: bytes) -> tuple[int, ...]:
 
 
 def encode_merged_terms(merged_terms) -> bytes:
-    """Pack the sharded backend's merged term order as (term, df, cf)."""
+    """Pack the merged term order as (term, df, cf) varint records."""
     out = bytearray()
     merged_terms = list(merged_terms)
     write_uvarint(out, len(merged_terms))
@@ -259,7 +266,7 @@ class Manifest:
                 (
                     record.generation,
                     time.time(),
-                    record.layout,
+                    LAYOUT,
                     record.shard_count,
                     record.router,
                     record.router_cursor,
@@ -268,12 +275,8 @@ class Manifest:
                     record.total_terms,
                     record.unique_terms,
                     record.fingerprint,
-                    encode_placements(record.placements)
-                    if record.placements is not None
-                    else None,
-                    encode_merged_terms(record.merged_terms)
-                    if record.merged_terms is not None
-                    else None,
+                    encode_placements(record.placements),
+                    encode_merged_terms(record.merged_terms),
                 ),
             )
             connection.executemany(
@@ -327,9 +330,13 @@ class Manifest:
             raise IndexFormatError(
                 f"corrupt index manifest {self.path}: {error}"
             ) from None
+        if row[1] != LAYOUT or row[10] is None or row[11] is None:
+            raise IndexFormatError(
+                f"generation {row[0]} of {self.path} has an unsupported "
+                f"layout ({row[1]!r}) or lacks its placements"
+            )
         return GenerationRecord(
             generation=int(row[0]),
-            layout=row[1],
             shard_count=int(row[2]),
             router=row[3],
             router_cursor=None if row[4] is None else int(row[4]),
@@ -338,12 +345,8 @@ class Manifest:
             total_terms=int(row[7]),
             unique_terms=int(row[8]),
             fingerprint=int(row[9]),
-            placements=(
-                decode_placements(row[10]) if row[10] is not None else None
-            ),
-            merged_terms=(
-                decode_merged_terms(row[11]) if row[11] is not None else None
-            ),
+            placements=decode_placements(row[10]),
+            merged_terms=decode_merged_terms(row[11]),
             segments=tuple(
                 SegmentRecord(
                     shard=int(shard),

@@ -1,14 +1,15 @@
 """Read-only index views attached over mmap-packed v3 segments.
 
-:class:`PackedIndex` and :class:`PackedShardedIndex` duck-type the
-complete *read* surface of :class:`~repro.index.inverted.InvertedIndex`
-and :class:`~repro.index.sharding.ShardedIndex` — rankers, scoring
-sessions, the search kernel, and all six explainers run against them
-unchanged — while serving every lookup from the on-disk segments:
+:class:`PackedShardedIndex` duck-types the complete *read* surface of
+:class:`~repro.index.sharding.ShardedIndex` — rankers, scoring
+sessions, the search kernel, and all six explainers run against it
+unchanged — while serving every lookup from the on-disk segments, one
+:class:`PackedIndex` per segment (the packed counterpart of one
+:class:`~repro.index.inverted.InvertedIndex` shard):
 
-* Attach is O(1) in corpus size: open the manifest, read one generation
-  row, ``mmap`` the segment files, parse fixed-size headers. No JSON
-  parse, no re-analysis, no posting rebuild.
+* Attach is O(1) in segment size: open the manifest, read one
+  generation row, ``mmap`` the segment files, parse fixed-size headers.
+  No JSON parse, no re-analysis, no posting rebuild.
 * Lookups decode lazily (a postings list on first use of its term, a
   document record on first access to its block) and memoize, so a warm
   reader converges on in-memory speed for its working set while cold
@@ -21,9 +22,10 @@ unchanged — while serving every lookup from the on-disk segments:
   between replicas attached to the same commit.
 
 Mutations raise :class:`~repro.errors.ReadOnlyIndexError`; call
-:meth:`hydrate` (or ``load_index(path, mode="memory")``) for a mutable
-in-memory copy, rebuilt from the stored term sequences without
-re-running the analyzer.
+:meth:`PackedShardedIndex.hydrate` (or
+``load_index(path, mode="memory")``) for a mutable
+:class:`~repro.index.sharding.ShardedIndex`, rebuilt from the stored
+term sequences without re-running the analyzer.
 """
 
 from __future__ import annotations
@@ -32,9 +34,12 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterator
 
-from repro.errors import DocumentNotFoundError, ReadOnlyIndexError
+from repro.errors import (
+    DocumentNotFoundError,
+    IndexFormatError,
+    ReadOnlyIndexError,
+)
 from repro.index.document import Document
-from repro.index.inverted import InvertedIndex
 from repro.index.postings import Posting, PostingsList
 from repro.index.sharding import (
     MergedPostings,
@@ -58,7 +63,7 @@ class _ReadOnlyMutations:
     def add_analyzed(self, document, terms) -> None:
         raise ReadOnlyIndexError("add a document")
 
-    def add_documents(self, documents, workers=None) -> int:
+    def add_documents(self, documents, workers=None, executor=None) -> int:
         raise ReadOnlyIndexError("add documents")
 
     def remove(self, doc_id: str):
@@ -69,23 +74,17 @@ class _ReadOnlyMutations:
 
 
 class PackedIndex(_ReadOnlyMutations):
-    """Read-only single-index view over one packed segment."""
+    """Read-only view over one packed segment: one shard of a
+    :class:`PackedShardedIndex`.
 
-    def __init__(
-        self,
-        segment: Segment,
-        analyzer: Analyzer,
-        fingerprint: int,
-        storage: dict | None = None,
-    ):
+    Serves the per-document reads the sharded view routes to a shard
+    and the per-shard reads the searcher fans out over; corpus-level
+    statistics, term order and global insertion order live on the
+    sharded view.
+    """
+
+    def __init__(self, segment: Segment):
         self._segment = segment
-        self.analyzer = analyzer
-        self._fingerprint = fingerprint
-        self._storage = dict(storage or {})
-        #: Manifest path this view was attached from (set by
-        #: :func:`attach_packed`); the process tier reuses it so worker
-        #: processes can re-attach the same index without a re-save.
-        self.manifest_path: Path | None = None
         self._documents: dict[int, Document] = {}
         self._vectors: dict[int, Counter[str]] = {}
         self._postings: dict[str, PostingsList | None] = {}
@@ -96,10 +95,6 @@ class PackedIndex(_ReadOnlyMutations):
 
     def close(self) -> None:
         self._segment.close()
-
-    def storage_info(self) -> dict:
-        """On-disk facts for ``GET /index``'s ``storage`` block."""
-        return dict(self._storage)
 
     # -- lookups -------------------------------------------------------------
 
@@ -127,12 +122,6 @@ class PackedIndex(_ReadOnlyMutations):
 
     def __len__(self) -> int:
         return self._segment.doc_count
-
-    def __iter__(self) -> Iterator[Document]:
-        return (
-            self._document_at(ordinal)
-            for ordinal in range(self._segment.doc_count)
-        )
 
     @property
     def doc_ids(self) -> list[str]:
@@ -165,28 +154,7 @@ class PackedIndex(_ReadOnlyMutations):
         self._postings[term] = plist
         return plist
 
-    def terms(self) -> Iterator[str]:
-        return (
-            self._segment.term(ordinal)
-            for ordinal in range(self._segment.term_count)
-        )
-
     # -- statistics ----------------------------------------------------------
-
-    def document_frequency(self, term: str) -> int:
-        ordinal = self._segment.term_ordinal(term)
-        if ordinal is None:
-            return 0
-        return self._segment.postings_count(ordinal)
-
-    def collection_frequency(self, term: str) -> int:
-        ordinal = self._segment.term_ordinal(term)
-        if ordinal is None:
-            return 0
-        return sum(
-            frequency
-            for _, frequency, _ in self._segment.postings_entries(ordinal)
-        )
 
     def term_frequency(self, term: str, doc_id: str) -> int:
         return self.term_frequencies(doc_id).get(term, 0)
@@ -214,76 +182,38 @@ class PackedIndex(_ReadOnlyMutations):
             self._vectors[ordinal] = vector
         return vector
 
-    @property
-    def version(self) -> int:
-        """Content fingerprint — stable across processes and replicas."""
-        return self._fingerprint
 
-    def stats(self) -> CollectionStats:
-        return CollectionStats(
-            document_count=self._segment.doc_count,
-            total_terms=self._segment.total_terms,
-            unique_terms=self._segment.term_count,
-        )
+def _term_sequences(segment: Segment) -> list[list[str]]:
+    """Reconstruct every document's exact analyzed term sequence.
 
-    @property
-    def average_document_length(self) -> float:
-        return self.stats().average_document_length
-
-    # -- hydration -----------------------------------------------------------
-
-    def term_sequence(self, ordinal: int) -> list[str]:
-        """Reconstruct one document's exact analyzed term sequence.
-
-        Inverted from the stored postings positions: position *p* of
-        term *t* in document *d* means ``sequence[p] = t``. Positions
-        cover ``0..length-1`` exactly, so the result equals what the
-        analyzer produced at indexing time — without re-analysis.
-        """
-        return _term_sequences(self._segment, only=ordinal)[ordinal]
-
-    def hydrate(self) -> InvertedIndex:
-        """Rebuild a mutable in-memory index from the segment."""
-        sequences = _term_sequences(self._segment)
-        index = InvertedIndex(self.analyzer)
-        for ordinal in range(self._segment.doc_count):
-            index.add_analyzed(self._document_at(ordinal), sequences[ordinal])
-        return index
-
-
-def _term_sequences(
-    segment: Segment, only: int | None = None
-) -> dict[int, list[str]]:
-    """Invert postings positions into per-document term sequences."""
-    sequences: dict[int, list[str]] = (
-        {only: [""] * segment.doc_length(only)}
-        if only is not None
-        else {
-            ordinal: [""] * segment.doc_length(ordinal)
-            for ordinal in range(segment.doc_count)
-        }
-    )
+    Inverted from the stored postings positions: position *p* of term
+    *t* in document *d* means ``sequence[p] = t``. Positions cover
+    ``0..length-1`` exactly, so the result equals what the analyzer
+    produced at indexing time — without re-analysis.
+    """
+    sequences = [
+        [""] * segment.doc_length(ordinal)
+        for ordinal in range(segment.doc_count)
+    ]
     for term_ordinal in range(segment.term_count):
-        term = None
+        term = segment.term(term_ordinal)
         for doc_ordinal, _, positions in segment.postings_entries(term_ordinal):
-            sequence = sequences.get(doc_ordinal)
-            if sequence is None:
-                continue
-            if term is None:
-                term = segment.term(term_ordinal)
+            sequence = sequences[doc_ordinal]
             for position in positions:
                 sequence[position] = term
     return sequences
 
 
 class PackedShardedIndex(_ReadOnlyMutations):
-    """Read-only sharded view over one packed segment per shard.
+    """Read-only view over one committed generation: one packed segment
+    per shard, behind the generation's router.
 
     Duck-types :class:`~repro.index.sharding.ShardedIndex`: ``shards``
     exposes per-shard :class:`PackedIndex` views (the searcher fans
     sparse scoring out over them), merged statistics come from the
     manifest's stored term table, and global insertion order is replayed
-    from the stored placements.
+    from the stored placements. A plain index is saved as one segment,
+    so every attach returns this view.
     """
 
     def __init__(
@@ -297,20 +227,20 @@ class PackedShardedIndex(_ReadOnlyMutations):
         self.analyzer = analyzer
         self._record = record
         self._storage = dict(storage or {})
-        #: Manifest path this view was attached from (see PackedIndex).
+        #: Manifest path this view was attached from (set by
+        #: :func:`attach_packed`); the process tier reuses it so worker
+        #: processes can re-attach the same index without a re-save.
         self.manifest_path: Path | None = None
-        self.router = build_router(
-            record.router or "hash", record.shard_count
-        )
+        self.router = build_router(record.router, record.shard_count)
         if isinstance(self.router, RoundRobinRouter) and (
             record.router_cursor is not None
         ):
             self.router.cursor = record.router_cursor
         #: term -> (df, cf) in merged insertion order.
         self._merged: dict[str, tuple[int, int]] = {
-            term: (df, cf) for term, df, cf in (record.merged_terms or ())
+            term: (df, cf) for term, df, cf in record.merged_terms
         }
-        self._placements = record.placements or ()
+        self._placements = record.placements
         self._global_ids: list[str] | None = None
 
     def close(self) -> None:
@@ -440,70 +370,62 @@ class PackedShardedIndex(_ReadOnlyMutations):
             placements(),
             self._record.shard_count,
             self.analyzer,
-            router=build_router(
-                self._record.router or "hash", self._record.shard_count
-            ),
+            router=build_router(self._record.router, self._record.shard_count),
             cursor=self._record.router_cursor,
         )
 
 
 def attach_packed(
     path: str | Path, record: GenerationRecord | None = None
-) -> PackedIndex | PackedShardedIndex:
-    """Attach read-only packed views over the index at ``path``.
+) -> PackedShardedIndex:
+    """Attach a read-only packed view over the index at ``path``.
 
-    Opens the latest committed generation (or the given ``record``),
-    maps its segments, and returns the matching packed view. O(1) in
-    corpus size — only fixed-size headers are parsed.
+    Opens the latest committed generation (or the given ``record``) and
+    maps its segments. O(1) in segment size — only fixed-size headers
+    are parsed.
     """
     with obs_span("persist/attach", path=str(path)) as span:
         return _attach_packed(path, record, span)
 
 
+def _check_placements(record: GenerationRecord) -> None:
+    """Placements must put exactly each segment's documents on it."""
+    placed = Counter(record.placements)
+    stored = Counter(
+        {segment.shard: segment.document_count for segment in record.segments}
+    )
+    if placed != stored or len(record.segments) != record.shard_count:
+        raise IndexFormatError(
+            f"generation {record.generation} places documents "
+            f"{dict(sorted(placed.items()))} but its segments hold "
+            f"{dict(sorted(stored.items()))}"
+        )
+
+
 def _attach_packed(
     path: str | Path, record: GenerationRecord | None, span
-) -> PackedIndex | PackedShardedIndex:
+) -> PackedShardedIndex:
     path = Path(path)
     manifest = Manifest.open(path)
     if record is None:
         record = manifest.latest_generation()
         if record is None:
-            from repro.errors import IndexFormatError
-
             raise IndexFormatError(
                 f"index manifest {path} has no committed generation"
             )
     span.set(generation=record.generation, segments=len(record.segments))
+    _check_placements(record)
     analyzer = Analyzer.from_config(record.analyzer_config)
-    bytes_on_disk = path.stat().st_size + sum(
-        segment.bytes for segment in record.segments
-    )
     storage = {
         "format": "v3",
-        "bytes_on_disk": bytes_on_disk,
+        "bytes_on_disk": path.stat().st_size
+        + sum(segment.bytes for segment in record.segments),
         "generation": record.generation,
     }
-    segments = [
-        Segment(path.parent / segment.filename)
-        for segment in record.segments
-    ]
-    if record.layout == "single":
-        packed = PackedIndex(
-            segments[0], analyzer, record.fingerprint, storage
-        )
-        packed.manifest_path = path
-        return packed
     shards = tuple(
-        PackedIndex(
-            segment,
-            analyzer,
-            # Per-shard sub-fingerprint: distinct from the collection's
-            # and from other shards', but content-derived all the same.
-            (record.fingerprint << 4) | (position + 1),
-            storage,
-        )
-        for position, segment in enumerate(segments)
+        PackedIndex(Segment(path.parent / segment.filename))
+        for segment in record.segments
     )
-    sharded = PackedShardedIndex(shards, analyzer, record, storage)
-    sharded.manifest_path = path
-    return sharded
+    packed = PackedShardedIndex(shards, analyzer, record, storage)
+    packed.manifest_path = path
+    return packed

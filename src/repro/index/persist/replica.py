@@ -31,11 +31,7 @@ from typing import Callable, Iterator
 from repro.errors import IndexFormatError
 from repro.index.persist.manifest import Manifest
 from repro.obs.trace import event as obs_event
-from repro.index.persist.packed import (
-    PackedIndex,
-    PackedShardedIndex,
-    attach_packed,
-)
+from repro.index.persist.packed import PackedShardedIndex, attach_packed
 
 logger = logging.getLogger(__name__)
 
@@ -56,11 +52,11 @@ class ReplicaIndex:
     def __init__(self, path: str | Path):
         self._path = Path(path)
         self._manifest = Manifest.open(self._path)
-        self._inner: PackedIndex | PackedShardedIndex = self._attach()
+        self._inner: PackedShardedIndex = self._attach()
         self._refresh_lock = threading.Lock()
         self._watcher: GenerationWatcher | None = None
 
-    def _attach(self) -> PackedIndex | PackedShardedIndex:
+    def _attach(self) -> PackedShardedIndex:
         """Attach the latest generation, absorbing one writer race.
 
         Between reading the generation row and opening its segments, a

@@ -23,10 +23,10 @@ insertion order is a subsequence of global insertion order, since a
 posting is created exactly when its document is added). Document
 records (title, body, metadata JSON, and the term-frequency vector in
 first-occurrence order) are grouped into fixed-size blocks and
-zlib-compressed, which is what makes the packed file *smaller* than the
-v2 JSON payloads even though it additionally stores postings and
-positions; a block decompresses lazily on first access to any of its
-documents.
+zlib-compressed, which is what makes the packed file *smaller* than a
+JSON dump of the same documents even though it additionally stores
+postings and positions; a block decompresses lazily on first access to
+any of its documents.
 
 Insertion orders are preserved exactly because they are observable:
 ranked ties, ``terms()`` iteration, and term-vector iteration all follow

@@ -1,12 +1,15 @@
 """The v3 save path: snapshot → packed segments → manifest commit.
 
-:func:`save_v3` turns a live :class:`~repro.index.inverted.InvertedIndex`
-or :class:`~repro.index.sharding.ShardedIndex` into a new committed
-generation of the packed on-disk format. The sequence is the crash-safe
-protocol documented in :mod:`repro.index.persist.manifest`: segments are
-written and fsynced under generation-unique names first, one SQLite
-transaction publishes the generation (the commit point), and only then
-are superseded generations and orphaned segment files collected.
+:func:`save_v3` turns a live :class:`~repro.index.sharding.ShardedIndex`
+— or a bare :class:`~repro.index.inverted.InvertedIndex`, written as one
+segment — into a new committed generation of the packed on-disk format.
+Every generation has the same shape: one segment per shard, the
+per-document placements, the router and its cursor, and the merged term
+statistics. The sequence is the crash-safe protocol documented in
+:mod:`repro.index.persist.manifest`: segments are written and fsynced
+under generation-unique names first, one SQLite transaction publishes
+the generation (the commit point), and only then are superseded
+generations and orphaned segment files collected.
 
 The committed generation carries a **content fingerprint** — a digest of
 the analyzer configuration, the shard layout, and every segment's
@@ -15,7 +18,9 @@ version-keyed caches (the service's
 :class:`~repro.service.store.ResultStore`, collection views, Doc2Vec
 models) stable across process restarts: re-attaching the same commit
 yields the same version, and saving an unchanged corpus again yields the
-same fingerprint.
+same fingerprint. A bare index and a one-shard
+:class:`~repro.index.sharding.ShardedIndex` over the same documents
+commit the same fingerprint.
 """
 
 from __future__ import annotations
@@ -24,9 +29,10 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.index.inverted import IndexSnapshot, InvertedIndex
-from repro.index.sharding import ShardedIndex
+from repro.index.inverted import InvertedIndex
+from repro.index.sharding import ShardedIndex, ShardedSnapshot
 from repro.index.persist.manifest import (
+    LAYOUT,
     GenerationRecord,
     Manifest,
     SegmentRecord,
@@ -40,8 +46,7 @@ from repro.index.persist.segment import write_segment
 
 def _fingerprint(
     analyzer_config: dict,
-    layout: str,
-    router: str | None,
+    router: str,
     cursor: int | None,
     segments: list[SegmentRecord],
     placements_blob: bytes,
@@ -57,7 +62,7 @@ def _fingerprint(
     """
     digest = hashlib.sha1()
     digest.update(json.dumps(analyzer_config, sort_keys=True).encode("utf-8"))
-    digest.update(f"|{layout}|{router}|{cursor}".encode("utf-8"))
+    digest.update(f"|{LAYOUT}|{router}|{cursor}".encode("utf-8"))
     for segment in segments:
         digest.update(
             f"|{segment.shard}:{segment.bytes}:{segment.document_count}:"
@@ -68,6 +73,32 @@ def _fingerprint(
     return int.from_bytes(digest.digest()[:8], "big") & ((1 << 63) - 1)
 
 
+def _snapshot(index: InvertedIndex | ShardedIndex) -> ShardedSnapshot:
+    """One atomic snapshot of ``index`` as segments behind a router.
+
+    A bare :class:`InvertedIndex` is one segment: every placement is
+    shard 0 and the merged statistics are its own postings statistics,
+    in its postings order — exactly what a one-shard
+    :class:`ShardedIndex` over the same documents records.
+    """
+    if isinstance(index, ShardedIndex):
+        return index.export_snapshot()
+    single = index.export_snapshot()
+    return ShardedSnapshot(
+        shard_snapshots=(single,),
+        placements=tuple((document.doc_id, 0) for document in single.documents),
+        merged_terms=tuple(
+            (term, len(postings), sum(p.frequency for p in postings))
+            for term, postings in single.postings.items()
+        ),
+        router="hash",
+        cursor=None,
+        version=single.version,
+        document_count=len(single.documents),
+        total_terms=single.total_terms,
+    )
+
+
 def save_v3(index: InvertedIndex | ShardedIndex, path: str | Path) -> GenerationRecord:
     """Commit ``index`` as a new generation of the packed v3 format.
 
@@ -76,48 +107,19 @@ def save_v3(index: InvertedIndex | ShardedIndex, path: str | Path) -> Generation
     garbage-collects the previous one *after* the commit point — a
     concurrent reader attached to the old generation keeps a valid view
     (its mmap holds the unlinked segments open), and new attaches see
-    the new generation. Saving over a legacy JSON index replaces it.
+    the new generation. A path holding any other file is overwritten.
 
     Returns the committed :class:`GenerationRecord`.
     """
     path = Path(path)
     if path.exists() and not is_v3_manifest(path):
-        # The path currently holds a legacy (v1/v2 JSON) index or some
-        # other file; save_index semantics are "overwrite" there too.
         path.unlink()
     manifest = Manifest.create(path)
     generation = manifest.next_generation()
-
-    if isinstance(index, ShardedIndex):
-        snapshot = index.export_snapshot()
-        layout = "sharded"
-        router: str | None = snapshot.router
-        cursor = snapshot.cursor
-        shard_snapshots: list[IndexSnapshot] = list(snapshot.shard_snapshots)
-        # Shard ids in global insertion order; doc ids are implied by
-        # the per-shard segment doc tables (shard order is a subsequence
-        # of global order).
-        placements: tuple[int, ...] | None = tuple(
-            shard for _, shard in snapshot.placements
-        )
-        merged_terms = snapshot.merged_terms
-        document_count = snapshot.document_count
-        total_terms = snapshot.total_terms
-        unique_terms = len(snapshot.merged_terms)
-    else:
-        single = index.export_snapshot()
-        layout = "single"
-        router = None
-        cursor = None
-        shard_snapshots = [single]
-        placements = None
-        merged_terms = None
-        document_count = len(single.documents)
-        total_terms = single.total_terms
-        unique_terms = len(single.postings)
+    snapshot = _snapshot(index)
 
     segments: list[SegmentRecord] = []
-    for shard, shard_snapshot in enumerate(shard_snapshots):
+    for shard, shard_snapshot in enumerate(snapshot.shard_snapshots):
         filename = segment_filename(path, generation, shard)
         size, crc = write_segment(shard_snapshot, path.parent / filename)
         segments.append(
@@ -130,30 +132,30 @@ def save_v3(index: InvertedIndex | ShardedIndex, path: str | Path) -> Generation
             )
         )
 
+    # Shard ids in global insertion order; doc ids are implied by the
+    # per-shard segment doc tables (shard order is a subsequence of
+    # global order).
+    placements = tuple(shard for _, shard in snapshot.placements)
     analyzer_config = index.analyzer.to_config()
     record = GenerationRecord(
         generation=generation,
-        layout=layout,
-        shard_count=len(shard_snapshots),
-        router=router,
-        router_cursor=cursor,
+        shard_count=len(segments),
+        router=snapshot.router,
+        router_cursor=snapshot.cursor,
         analyzer_config=analyzer_config,
-        document_count=document_count,
-        total_terms=total_terms,
-        unique_terms=unique_terms,
+        document_count=snapshot.document_count,
+        total_terms=snapshot.total_terms,
+        unique_terms=len(snapshot.merged_terms),
         fingerprint=_fingerprint(
             analyzer_config,
-            layout,
-            router,
-            cursor,
+            snapshot.router,
+            snapshot.cursor,
             segments,
-            encode_placements(placements) if placements is not None else b"",
-            encode_merged_terms(merged_terms)
-            if merged_terms is not None
-            else b"",
+            encode_placements(placements),
+            encode_merged_terms(snapshot.merged_terms),
         ),
         placements=placements,
-        merged_terms=merged_terms,
+        merged_terms=snapshot.merged_terms,
         segments=tuple(segments),
     )
     manifest.commit_generation(record)

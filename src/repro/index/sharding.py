@@ -1,11 +1,12 @@
-"""Sharded corpus backend: N inverted-index shards behind one surface.
+"""The corpus index: N inverted-index segments behind a router.
 
 A :class:`ShardedIndex` routes every document to one of N
-:class:`~repro.index.inverted.InvertedIndex` shards through a
-:class:`ShardRouter` and exposes the *exact* read/write surface of a
+:class:`~repro.index.inverted.InvertedIndex` shards (segments) through
+a :class:`ShardRouter` and exposes the *exact* read/write surface of a
 single index, so rankers, scoring sessions, the search kernel, and the
-explainers work against it unchanged. Correctness hinges on two merged
-views:
+explainers work against it unchanged. It is the one live index shape:
+the engine and ``repro index`` always build one, and a plain corpus is
+one shard. Correctness hinges on two merged views:
 
 * :class:`MergedStats` maintains corpus-level statistics (document
   frequency, collection frequency, total terms, document count)
@@ -45,7 +46,7 @@ from repro.text.analyzer import Analyzer, default_analyzer
 from repro.text.tokenizer import iter_tokens
 from repro.utils.validation import require_positive
 
-#: Router names accepted by :func:`build_router` and the v2 index format.
+#: Router names accepted by :func:`build_router` and the v3 manifest.
 ROUTER_CHOICES = ("hash", "round-robin")
 
 
@@ -91,8 +92,8 @@ class RoundRobinRouter(ShardRouter):
     """Cycles through the shards, balancing counts exactly.
 
     Stateful: the n-th routed document lands on shard ``n % N``. The
-    :class:`ShardedIndex` records each assignment, so reloading a
-    persisted index replays recorded placements instead of re-routing.
+    :class:`ShardedIndex` records each assignment, and a saved index
+    stores those placements, so a reload never re-routes.
     """
 
     def __init__(self, shard_count: int):
@@ -107,7 +108,7 @@ class RoundRobinRouter(ShardRouter):
     def cursor(self) -> int:
         """The shard the next routed document will land on.
 
-        Persisted by the v2 index format and restored on load, so a
+        Persisted by the v3 manifest and restored on load, so a
         reloaded index continues the cycle exactly where the saved one
         left off — a derived value (e.g. surviving-document count) would
         drift after removals.
@@ -341,8 +342,9 @@ class ShardedIndex:
     Drop-in for :class:`~repro.index.inverted.InvertedIndex` everywhere
     a corpus is read or mutated: rankers, sessions, searchers, storage,
     and the engine accept either. Scores, ranks, and explanation output
-    are byte-identical to a single-shard index over the same documents
-    (pinned by ``tests/index/test_sharded_equivalence.py``).
+    are byte-identical to a bare :class:`InvertedIndex` over the same
+    documents, for any shard count (pinned by
+    ``tests/index/test_sharded_equivalence.py``).
 
     Thread safety matches the single index: a reentrant lock guards the
     assignment table, the merged statistics, and multi-step reads; each
@@ -392,45 +394,6 @@ class ShardedIndex:
         return index
 
     @classmethod
-    def from_placements(
-        cls,
-        placements: Iterable[tuple[Document, int]],
-        shard_count: int,
-        analyzer: Analyzer | None = None,
-        router: ShardRouter | None = None,
-    ) -> "ShardedIndex":
-        """Rebuild an index from recorded (document, shard) placements.
-
-        The persistence layer uses this so a reloaded index keeps the
-        exact shard layout and global insertion order it was saved with,
-        regardless of router statefulness. A restored round-robin router
-        defaults to resuming after the replayed documents; callers with
-        the saved cursor (the v2 manifest records it) should set
-        ``router.cursor`` afterwards, since the replayed count drifts
-        from the true cycle position once documents have been removed.
-        """
-        index = cls(shard_count, analyzer, router)
-        memo = AnalysisMemo(index.analyzer)
-        count = 0
-        with index._lock:
-            for document, shard in placements:
-                if not 0 <= shard < shard_count:
-                    raise ConfigurationError(
-                        f"placement shard {shard} out of range for "
-                        f"{shard_count} shards"
-                    )
-                if document.doc_id in index._assignments:
-                    raise ValueError(
-                        f"duplicate document id: {document.doc_id!r}"
-                    )
-                index._add_routed(document, memo.analyze(document.body), shard)
-                count += 1
-            index._version += count
-            if isinstance(index.router, RoundRobinRouter):
-                index.router.cursor = count % shard_count
-        return index
-
-    @classmethod
     def from_analyzed_placements(
         cls,
         placements: Iterable[tuple[Document, list[str], int]],
@@ -441,7 +404,7 @@ class ShardedIndex:
     ) -> "ShardedIndex":
         """Rebuild an index from (document, analyzed terms, shard) triples.
 
-        The attach hook for the packed v3 persistence layer: segments
+        The hydration hook for the packed v3 persistence layer: segments
         already store every document's exact term sequence, so hydration
         rebuilds postings without re-running the analyzer —
         ``terms`` must be exactly ``analyzer.analyze(document.body)``
@@ -730,36 +693,14 @@ class ShardedIndex:
         """Documents per shard, by shard position."""
         return [len(shard) for shard in self.shards]
 
-    def export_state(
-        self,
-    ) -> tuple[list[tuple[str, int]], list[list[Document]], int, int | None]:
-        """One atomic snapshot for persistence.
-
-        Returns (global-order placements, per-shard documents, mutation
-        version, round-robin cursor or None). The persistence layer
-        serialises from this snapshot instead of reading placements,
-        shard contents, and router state under separate lock
-        acquisitions — a save concurrent with mutation must never
-        capture a shard file that disagrees with the manifest.
-        """
-        with self._lock:
-            placements = list(self._assignments.items())
-            shard_documents = [list(shard) for shard in self.shards]
-            cursor = (
-                self.router.cursor
-                if isinstance(self.router, RoundRobinRouter)
-                else None
-            )
-            return placements, shard_documents, self._version, cursor
-
     def export_snapshot(self) -> ShardedSnapshot:
         """One atomic copy of the full sharded state for persistence.
 
-        The v3 writer's counterpart to
-        :meth:`InvertedIndex.export_snapshot`: per-shard snapshots, the
-        global placement order, merged term statistics (in merged
-        insertion order), and the router state, captured under one lock
-        acquisition so no field can disagree with another.
+        What the v3 writer serialises: per-shard snapshots, the global
+        placement order, merged term statistics (in merged insertion
+        order), and the router state, captured under one lock
+        acquisition so no field can disagree with another — a save
+        racing corpus mutation still commits one coherent generation.
         """
         with self._lock:
             return ShardedSnapshot(

@@ -1,285 +1,63 @@
-"""Index persistence: one entry point over three on-disk formats.
+"""Index persistence: one entry point over the one on-disk format (v3).
 
-:func:`save_index` / :func:`load_index` dispatch across every format the
-library has ever written, detected from the file itself — callers never
-name a version to load:
+:func:`save_index` commits any live index — an
+:class:`~repro.index.inverted.InvertedIndex` (written as one segment) or
+a :class:`~repro.index.sharding.ShardedIndex` — as a new generation of
+the packed format (:mod:`repro.index.persist`): mmap-packed binary
+segments holding postings and documents, catalogued by a SQLite
+manifest. :func:`load_index` *attaches* a read-only
+:class:`~repro.index.persist.PackedShardedIndex` in O(1) — no JSON
+parse, no re-analysis, no posting rebuild — or, with ``mode="memory"``,
+hydrates a mutable :class:`~repro.index.sharding.ShardedIndex`.
 
-* **v1** — one JSON file holding a single index's documents. Postings
-  are rebuilt on load by re-running the analyzer. Still written by
-  default for :class:`~repro.index.inverted.InvertedIndex` and still
-  loaded byte-identically.
-* **v2** — a JSON manifest plus one JSON file per shard, written by
-  default for :class:`~repro.index.sharding.ShardedIndex`. The manifest
-  records the shard count, the router, and every document's placement
-  in global insertion order, so a reload reproduces the exact shard
-  layout and every order-dependent tie-break — a stateful router is
-  never re-run at load time.
-* **v3** — the packed format (:mod:`repro.index.persist`): mmap-packed
-  binary segments holding postings and documents, catalogued by a
-  SQLite manifest. Loading *attaches* in O(1) — no JSON parse, no
-  re-analysis, no posting rebuild — returning a read-only packed view;
-  ``mode="memory"`` hydrates a mutable in-memory index instead.
-
-Detection: a SQLite file (magic bytes) is v3; JSON payloads dispatch on
-``format_version``. Anything unreadable raises
+A path that is not a v3 manifest (a JSON file, any other bytes) raises
 :class:`~repro.errors.IndexFormatError` (a ``ReproError`` and a
-``ValueError``) rather than leaking ``JSONDecodeError``.
+``ValueError``); a missing path raises ``FileNotFoundError``.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.errors import IndexFormatError
-from repro.index.document import Document
 from repro.index.inverted import InvertedIndex
-from repro.index.sharding import (
-    ROUTER_CHOICES,
-    RoundRobinRouter,
-    ShardedIndex,
-    build_router,
-)
-from repro.text.analyzer import Analyzer
-
-FORMAT_VERSION = 1
-
-#: Manifest version for sharded indexes (per-shard payload files).
-SHARDED_FORMAT_VERSION = 2
-
-#: Format names accepted by :func:`save_index` and the CLI.
-FORMAT_CHOICES = ("v1", "v2", "v3")
+from repro.index.persist import attach_packed, save_v3
+from repro.index.sharding import ShardedIndex
 
 
-def _shard_name(manifest_path: Path, shard: int, generation: int) -> str:
-    """Shard files live next to the manifest, named per generation.
+def save_index(index: InvertedIndex | ShardedIndex, path: str | Path) -> None:
+    """Commit ``index`` to ``path`` as a new v3 generation.
 
-    The generation (the index's mutation version at save time) keeps a
-    re-save from overwriting the shard files a still-committed older
-    manifest references — see the crash-safety notes in
-    :func:`_save_sharded`.
+    Crash-safe: segments are fsynced under generation-unique names
+    before one SQLite transaction publishes them, and superseded
+    generations are collected only after that commit — an interrupted
+    save always leaves the previous save loadable. See
+    :func:`repro.index.persist.save_v3`.
     """
-    return f"{manifest_path.stem}.shard-{shard:02d}-g{generation}.json"
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    """Write JSON atomically: temp file in the same directory + rename.
-
-    A reader (or a crash) can therefore only ever observe a complete
-    old file or a complete new file, never a truncated one.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_name(path.name + ".tmp")
-    with temp.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False, indent=None)
-    temp.replace(path)
-
-
-def save_index(
-    index: InvertedIndex | ShardedIndex,
-    path: str | Path,
-    format: str | None = None,
-) -> None:
-    """Serialise ``index`` to ``path`` in the requested format.
-
-    ``format`` is one of :data:`FORMAT_CHOICES`; ``None`` keeps the
-    legacy default — the JSON family, where a plain index writes one v1
-    file and a sharded index writes a v2 manifest plus one
-    generation-named ``<stem>.shard-NN-g<version>.json`` file per shard.
-    (``"v1"`` and ``"v2"`` both name that family: the layout follows
-    the index type, so a plain index saved as ``"v2"`` writes a v1
-    file.) ``"v3"`` commits the packed format for either index type —
-    see :func:`repro.index.persist.save_v3`.
-
-    Every format is crash-safe: files land via atomic temp-file renames
-    or fsynced segments, data files precede the commit point (the v2
-    manifest rename, the v3 SQLite transaction), and superseded
-    generations are garbage-collected only after the new commit is
-    durable — an interrupted save always leaves the previous save
-    loadable.
-
-    The analyzer block is produced by :meth:`Analyzer.to_config`, which
-    enumerates the analyzer's fields — adding an analyzer option can no
-    longer desync save from load.
-    """
-    if format is not None and format not in FORMAT_CHOICES:
-        raise IndexFormatError(
-            f"format must be one of {FORMAT_CHOICES}, got {format!r}"
-        )
-    path = Path(path)
-    if format == "v3":
-        from repro.index.persist import save_v3
-
-        save_v3(index, path)
-        return
-    if isinstance(index, ShardedIndex):
-        _save_sharded(index, path)
-        return
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "analyzer": index.analyzer.to_config(),
-        "documents": [document.to_dict() for document in index],
-    }
-    _write_json(path, payload)
-
-
-def _save_sharded(index: ShardedIndex, path: Path) -> None:
-    # One atomic snapshot: placements, shard contents, version, and
-    # router state must come from the same instant, or a save concurrent
-    # with mutation could write a manifest that disagrees with its shard
-    # files (silently dropping the disagreeing documents on load).
-    placements, shard_documents, generation, cursor = index.export_state()
-    shard_names = [
-        _shard_name(path, shard, generation)
-        for shard in range(index.shard_count)
-    ]
-    manifest = {
-        "format_version": SHARDED_FORMAT_VERSION,
-        "analyzer": index.analyzer.to_config(),
-        "shard_count": index.shard_count,
-        "router": index.router.name,
-        "shard_files": shard_names,
-        # Global insertion order with each document's shard: the load
-        # side replays this verbatim instead of re-routing.
-        "placements": [[doc_id, shard] for doc_id, shard in placements],
-    }
-    if cursor is not None:
-        # The cycle position cannot be derived from the placements once
-        # documents have been removed; persist it explicitly.
-        manifest["router_cursor"] = cursor
-    # Crash safety: shard files are written first under generation-unique
-    # names (never overwriting what an older committed manifest points
-    # at), each via an atomic temp-file rename; the manifest rename is
-    # the commit point. A crash anywhere leaves the previous save fully
-    # loadable; stale generations are garbage-collected only after the
-    # new manifest is durable.
-    for shard_position, (name, documents) in enumerate(
-        zip(shard_names, shard_documents)
-    ):
-        _write_json(
-            path.with_name(name),
-            {
-                "shard": shard_position,
-                "documents": [document.to_dict() for document in documents],
-            },
-        )
-    _write_json(path, manifest)
-    referenced = set(shard_names)
-    for leftover in path.parent.glob(f"{path.stem}.shard-*.json"):
-        if leftover.name not in referenced:
-            leftover.unlink()
-
-
-def detect_format(path: str | Path) -> str:
-    """Probe which on-disk format ``path`` holds (``"v1"/"v2"/"v3"``).
-
-    v3 is recognised by the SQLite magic bytes; JSON payloads dispatch
-    on their ``format_version`` field. Raises
-    :class:`~repro.errors.IndexFormatError` for anything else.
-    """
-    from repro.index.persist import is_v3_manifest
-
-    path = Path(path)
-    if not path.exists():
-        # A missing path is an I/O condition, not a format one; keep the
-        # long-standing FileNotFoundError contract.
-        raise FileNotFoundError(path)
-    if is_v3_manifest(path):
-        return "v3"
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise IndexFormatError(
-            f"{path} is not a recognised index file (not a v3 manifest, "
-            f"not a v1/v2 JSON payload): {error}"
-        ) from None
-    version = payload.get("format_version") if isinstance(payload, dict) else None
-    if version == FORMAT_VERSION:
-        return "v1"
-    if version == SHARDED_FORMAT_VERSION:
-        return "v2"
-    raise IndexFormatError(
-        f"unsupported index format version: {version!r}"
-    )
+    save_v3(index, path)
 
 
 def load_index(path: str | Path, mode: str = "auto"):
     """Load an index previously written by :func:`save_index`.
 
-    The format is auto-detected from the file (see :func:`detect_format`)
-    — v1/v2 payloads keep loading exactly as before, rebuilding an
-    in-memory index; a v3 manifest *attaches* read-only packed views
-    over its segments in O(1).
-
-    ``mode`` controls what a v3 path yields: ``"auto"`` returns the
-    packed read-only view (warm restart); ``"memory"`` hydrates a
-    mutable :class:`InvertedIndex` / :class:`ShardedIndex` from the
-    stored term sequences (no re-analysis). v1/v2 are always in-memory,
-    so ``mode`` is a no-op for them.
+    ``mode="auto"`` returns the read-only
+    :class:`~repro.index.persist.PackedShardedIndex` attached in O(1)
+    (warm restart); ``mode="memory"`` hydrates a mutable
+    :class:`~repro.index.sharding.ShardedIndex` from the stored term
+    sequences, with the saved placements, router and cursor.
     """
     if mode not in ("auto", "memory"):
         raise IndexFormatError(
             f"load mode must be 'auto' or 'memory', got {mode!r}"
         )
     path = Path(path)
-    version = detect_format(path)
-    if version == "v3":
-        from repro.index.persist import attach_packed
-
-        packed = attach_packed(path)
-        if mode == "memory":
-            try:
-                return packed.hydrate()
-            finally:
-                packed.close()
-        return packed
-    with path.open("r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if version == "v1":
-        # FORMAT_VERSION 1 payloads carried exactly the four original
-        # fields; from_config accepts any subset of known fields, so
-        # they keep loading.
-        analyzer = Analyzer.from_config(payload["analyzer"])
-        documents = (Document.from_dict(raw) for raw in payload["documents"])
-        return InvertedIndex.from_documents(documents, analyzer)
-    return _load_sharded(payload, path)
-
-
-def _load_sharded(manifest: dict, path: Path) -> ShardedIndex:
-    analyzer = Analyzer.from_config(manifest["analyzer"])
-    shard_count = manifest["shard_count"]
-    router_name = manifest.get("router", "hash")
-    if router_name not in ROUTER_CHOICES:
-        raise IndexFormatError(f"unsupported shard router: {router_name!r}")
-    documents: dict[str, Document] = {}
-    for name in manifest["shard_files"]:
+    if not path.exists():
+        # A missing path is an I/O condition, not a format one.
+        raise FileNotFoundError(path)
+    packed = attach_packed(path)
+    if mode == "memory":
         try:
-            with path.with_name(name).open("r", encoding="utf-8") as handle:
-                shard_payload = json.load(handle)
-        except (OSError, json.JSONDecodeError) as error:
-            raise IndexFormatError(
-                f"cannot read shard file {name!r}: {error}"
-            ) from None
-        for raw in shard_payload["documents"]:
-            document = Document.from_dict(raw)
-            documents[document.doc_id] = document
-    try:
-        placements = [
-            (documents[doc_id], shard)
-            for doc_id, shard in manifest["placements"]
-        ]
-    except KeyError as missing:
-        raise IndexFormatError(
-            f"manifest places unknown document {missing.args[0]!r}"
-        ) from None
-    index = ShardedIndex.from_placements(
-        placements,
-        shard_count,
-        analyzer,
-        router=build_router(router_name, shard_count),
-    )
-    cursor = manifest.get("router_cursor")
-    if cursor is not None and isinstance(index.router, RoundRobinRouter):
-        index.router.cursor = cursor
-    return index
+            return packed.hydrate()
+        finally:
+            packed.close()
+    return packed

@@ -673,7 +673,7 @@ class ProcessExecutor:
                 path = Path(self._tempdir.name) / "index.v3"
                 from repro.index.storage import save_index
 
-                save_index(self.engine.index, path, format="v3")
+                save_index(self.engine.index, path)
                 self.index_snapshots += 1
             spec = WorkerSpec(
                 index_path=str(path), engine_config=self.engine.config

@@ -128,7 +128,7 @@ class Analyzer:
 
         Unknown keys raise (a config written by a *newer* analyzer must
         not load lossily); missing keys fall back to the field defaults,
-        which keeps historical ``FORMAT_VERSION`` 1 payloads loading.
+        so a config written before a field existed still loads.
         """
         from dataclasses import fields
 

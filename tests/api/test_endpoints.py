@@ -190,9 +190,7 @@ class TestIndexManagement:
         from repro.datasets.covid import covid_corpus
 
         engine = CredenceEngine(
-            covid_corpus(),
-            EngineConfig(ranker="bm25", seed=5),
-            shards=2,
+            covid_corpus(), EngineConfig(ranker="bm25", seed=5, shards=2)
         )
         return InProcessClient(build_router(engine)), engine
 

@@ -1,7 +1,8 @@
 """REST coverage for the persistence surface.
 
-``POST /index/save``, the ``storage`` block in ``GET /index``, and the
-400-not-500 contract for read-only (replica/packed) engines.
+``POST /index/save`` (always v3), the layout and ``storage`` block in
+``GET /index``, and the 400-not-500 contract for read-only
+(replica/packed) engines.
 """
 
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from repro.api.app import build_router
 from repro.api.client import InProcessClient
 from repro.core.engine import CredenceEngine, EngineConfig
-from repro.index.storage import detect_format, save_index
+from repro.index.persist import is_v3_manifest
+from repro.index.storage import save_index
 from tests.core.test_search_equivalence import _corpus
 
 
@@ -23,7 +25,7 @@ def live_client():
 def packed_client(tmp_path):
     live = CredenceEngine(_corpus(), EngineConfig(ranker="bm25", seed=5))
     path = tmp_path / "corpus.idx"
-    save_index(live.index, path, format="v3")
+    save_index(live.index, path)
     engine = CredenceEngine.load(path, config=EngineConfig(ranker="bm25", seed=5))
     return InProcessClient(build_router(engine)), engine
 
@@ -35,24 +37,16 @@ class TestIndexSaveRoute:
         response = client.post("/index/save", {"path": str(path)})
         assert response.status == 201
         assert response.payload == {"saved_to": str(path), "format": "v3"}
-        assert detect_format(path) == "v3"
+        assert is_v3_manifest(path)
 
-    def test_save_legacy_format(self, live_client, tmp_path):
-        client, _ = live_client
-        path = tmp_path / "saved.json"
-        response = client.post(
-            "/index/save", {"path": str(path), "format": "v2"}
-        )
-        assert response.status == 201
-        assert detect_format(path) == "v1"  # plain index → v1 JSON
-
-    def test_unknown_format_is_400(self, live_client, tmp_path):
+    def test_format_field_is_400(self, live_client, tmp_path):
         client, _ = live_client
         response = client.post(
             "/index/save",
-            {"path": str(tmp_path / "x.idx"), "format": "v9"},
+            {"path": str(tmp_path / "x.idx"), "format": "v3"},
         )
         assert response.status == 400
+        assert "format" in response.payload["detail"]
 
     def test_unwritable_path_is_400(self, live_client, tmp_path):
         client, _ = live_client
@@ -69,13 +63,20 @@ class TestIndexSaveRoute:
             "/index/save", {"path": str(tmp_path / "copy.idx")}
         )
         assert response.status == 400
-        assert "compact" in response.payload["detail"]
+        assert "read-only" in response.payload["detail"]
 
 
 class TestIndexInfoStorage:
     def test_live_engine_has_no_storage_block(self, live_client):
         client, _ = live_client
         assert "storage" not in client.get("/index").payload
+
+    def test_default_engine_is_one_shard(self, live_client):
+        client, engine = live_client
+        payload = client.get("/index").payload
+        assert payload["sharded"] is True
+        assert payload["shards"] == 1
+        assert payload["shard_documents"] == [payload["documents"]]
 
     def test_packed_engine_reports_storage(self, packed_client):
         client, engine = packed_client

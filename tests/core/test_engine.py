@@ -23,6 +23,12 @@ class TestConfig:
     def test_choices_exported(self):
         assert set(RANKER_CHOICES) == {"bm25", "tfidf", "lm", "neural"}
 
+    @pytest.mark.parametrize("shards", [None, 0, 2.0])
+    def test_shards_must_be_a_positive_integer(self, shards):
+        # A plain corpus is one shard; there is no shard-less setting.
+        with pytest.raises(ConfigurationError, match="shards"):
+            EngineConfig(ranker="bm25", shards=shards)
+
 
 class TestConstruction:
     def test_empty_corpus_rejected(self):

@@ -2,18 +2,19 @@
 
 The acceptance contract of the persistence subsystem: ranks, scores,
 and every explainer's full ``to_dict()`` payload are **byte-identical**
-between a live engine and an engine reloaded from disk — across every
-on-disk format (v1/v2 JSON, v3 packed attach, v3 hydrated), both corpus
-layouts (plain and sharded), the BM25 / TF-IDF / LM ranker families,
-and the LTR feature ranker.
+between a live engine and an engine reloaded from disk — across both
+load modes (v3 packed attach, v3 hydrated), a bare ``InvertedIndex``
+(saved as one segment), the default engine's one-shard corpus and a
+four-shard corpus, the BM25 / TF-IDF / LM ranker families, and the LTR
+feature ranker.
 """
-
-import json
 
 import pytest
 
 from repro.core.engine import CredenceEngine, EngineConfig
 from repro.core.explain import ExplainRequest
+from repro.index.inverted import InvertedIndex
+from repro.index.sharding import ShardedIndex
 from repro.index.storage import load_index, save_index
 from repro.ltr.dataset import assign_priors, synthetic_letor_dataset
 from repro.ltr.feature_cf import FeatureCounterfactualExplainer
@@ -30,40 +31,46 @@ from tests.index.test_sharded_equivalence import (
 
 LEXICAL_RANKERS = ("bm25", "tfidf", "lm")
 
-#: (shards, save format, load mode) — every persistence path a corpus
-#: can round-trip through. ``format=None`` is the legacy default
-#: (v1 for plain, v2 for sharded).
+#: (shards, load mode) — every persistence path a corpus can round-trip
+#: through. ``shards=None`` is a bare InvertedIndex; ``shards=1`` is the
+#: one-shard corpus a default engine builds.
 ROUND_TRIPS = (
-    (None, None, "auto"),
-    (4, None, "auto"),
-    (None, "v3", "auto"),
-    (4, "v3", "auto"),
-    (None, "v3", "memory"),
-    (4, "v3", "memory"),
+    (None, "auto"),
+    (1, "auto"),
+    (4, "auto"),
+    (None, "memory"),
+    (1, "memory"),
+    (4, "memory"),
 )
 
 ROUND_TRIP_IDS = (
-    "plain-v1",
-    "sharded-v2",
     "plain-v3-attach",
+    "default-v3-attach",
     "sharded-v3-attach",
     "plain-v3-hydrate",
+    "default-v3-hydrate",
     "sharded-v3-hydrate",
 )
 
 
 def _live_engine(ranker: str, shards: int | None) -> CredenceEngine:
+    if shards is None:
+        return CredenceEngine.from_index(
+            InvertedIndex.from_documents(_corpus()),
+            EngineConfig(ranker=ranker, seed=5),
+        )
+    if shards == 1:
+        # The default configuration: one shard, serial ingest.
+        return CredenceEngine(_corpus(), EngineConfig(ranker=ranker, seed=5))
     return CredenceEngine(
         _corpus(),
-        EngineConfig(ranker=ranker, seed=5),
-        shards=shards,
-        ingest_workers=2 if shards else None,
+        EngineConfig(ranker=ranker, seed=5, shards=shards, ingest_workers=2),
     )
 
 
-def _reloaded_engine(live: CredenceEngine, tmp_path, format, mode, ranker):
+def _reloaded_engine(live: CredenceEngine, tmp_path, mode, ranker):
     path = tmp_path / "corpus.idx"
-    save_index(live.index, path, format=format)
+    save_index(live.index, path)
     return CredenceEngine.load(
         path, config=EngineConfig(ranker=ranker, seed=5), mode=mode
     )
@@ -71,22 +78,18 @@ def _reloaded_engine(live: CredenceEngine, tmp_path, format, mode, ranker):
 
 @pytest.fixture(params=ROUND_TRIPS, ids=ROUND_TRIP_IDS)
 def engine_pair(request, tmp_path_factory):
-    shards, format, mode = request.param
+    shards, mode = request.param
     tmp_path = tmp_path_factory.mktemp("persist-eq")
     live = _live_engine("bm25", shards)
-    return live, _reloaded_engine(live, tmp_path, format, mode, "bm25")
+    return live, _reloaded_engine(live, tmp_path, mode, "bm25")
 
 
 class TestRankingEquivalence:
     @pytest.mark.parametrize("ranker", LEXICAL_RANKERS)
-    @pytest.mark.parametrize(
-        "shards,format,mode", ROUND_TRIPS, ids=ROUND_TRIP_IDS
-    )
-    def test_topk_byte_identical(
-        self, tmp_path, ranker, shards, format, mode
-    ):
+    @pytest.mark.parametrize("shards,mode", ROUND_TRIPS, ids=ROUND_TRIP_IDS)
+    def test_topk_byte_identical(self, tmp_path, ranker, shards, mode):
         live = _live_engine(ranker, shards)
-        reloaded = _reloaded_engine(live, tmp_path, format, mode, ranker)
+        reloaded = _reloaded_engine(live, tmp_path, mode, ranker)
         assert (
             reloaded.rank(QUERY, K).to_dicts()
             == live.rank(QUERY, K).to_dicts()
@@ -134,25 +137,17 @@ class TestLtrEquivalence:
         result = explainer.explain(QUERY, target, n=2, k=K)
         return ranking, _canonical(result.to_dict())
 
-    @pytest.mark.parametrize(
-        "shards,format,mode", ROUND_TRIPS, ids=ROUND_TRIP_IDS
-    )
-    def test_feature_cf_byte_identical(
-        self, ltr_setup, tmp_path, shards, format, mode
-    ):
+    @pytest.mark.parametrize("shards,mode", ROUND_TRIPS, ids=ROUND_TRIP_IDS)
+    def test_feature_cf_byte_identical(self, ltr_setup, tmp_path, shards, mode):
         corpus, model = ltr_setup
-        live = _live_engine("bm25", shards)
-        # LTR priors ride in document metadata, so rebuild the live index
+        # LTR priors ride in document metadata, so build the live index
         # over the prior-annotated corpus before persisting it.
-        from repro.index.inverted import InvertedIndex
-        from repro.index.sharding import ShardedIndex
-
         if shards:
             index = ShardedIndex.from_documents(corpus, shards, workers=2)
         else:
             index = InvertedIndex.from_documents(corpus)
         path = tmp_path / "ltr.idx"
-        save_index(index, path, format=format)
+        save_index(index, path)
         reloaded = load_index(path, mode=mode)
         assert self._explain(reloaded, model) == self._explain(index, model)
 
@@ -164,7 +159,7 @@ class TestResultStoreKeys:
     def test_version_stable_across_processes(self, tmp_path, shards):
         live = _live_engine("bm25", shards)
         path = tmp_path / "corpus.idx"
-        save_index(live.index, path, format="v3")
+        save_index(live.index, path)
         first = load_index(path)
         second = load_index(path)
         try:
@@ -177,7 +172,7 @@ class TestResultStoreKeys:
     def test_cached_explanations_replayable_after_restart(self, tmp_path):
         live = _live_engine("bm25", None)
         path = tmp_path / "corpus.idx"
-        save_index(live.index, path, format="v3")
+        save_index(live.index, path)
         restarted = CredenceEngine.load(
             path, config=EngineConfig(ranker="bm25", seed=5)
         )

@@ -1,20 +1,26 @@
 """Unit tests for the v3 packed persistence format.
 
 Covers the layers bottom-up: the varint codec, segment write/read
-round-trips, the SQLite manifest and its commit protocol, format
-auto-detection, and the read-only contract of attached packed views.
+round-trips, the SQLite manifest and its commit protocol, rejection of
+anything that is not a v3 index, the one generation shape (segments
+behind a router, whatever was saved), round-trips of placements,
+router cursor and analyzer, and the read-only contract of attached
+packed views.
 """
 
+import contextlib
+import json
 import sqlite3
+import threading
 
 import pytest
 
+from repro.core.engine import CredenceEngine, EngineConfig
 from repro.errors import IndexFormatError, ReadOnlyIndexError, ReproError
 from repro.index.document import Document
 from repro.index.inverted import InvertedIndex
 from repro.index.persist import (
     Manifest,
-    PackedIndex,
     PackedShardedIndex,
     Segment,
     attach_packed,
@@ -35,8 +41,10 @@ from repro.index.persist.varint import (
     write_deltas,
     write_uvarint,
 )
-from repro.index.sharding import ShardedIndex
-from repro.index.storage import detect_format, load_index, save_index
+from repro.index.searcher import IndexSearcher
+from repro.index.sharding import RoundRobinRouter, ShardedIndex
+from repro.index.storage import load_index, save_index
+from repro.text.analyzer import Analyzer
 
 
 def _documents():
@@ -56,6 +64,24 @@ def _documents():
 
 def _index():
     return InvertedIndex.from_documents(_documents())
+
+
+def _many_documents(count):
+    return [
+        Document(f"doc-{i:02d}", f"Virus report {i}: the ward {i % 4} story.")
+        for i in range(count)
+    ]
+
+
+@contextlib.contextmanager
+def _loaded(path, mode):
+    """``load_index(path, mode)``, closing an attached view afterwards."""
+    index = load_index(path, mode=mode)
+    try:
+        yield index
+    finally:
+        if isinstance(index, PackedShardedIndex):
+            index.close()
 
 
 class TestVarint:
@@ -218,22 +244,9 @@ class TestManifest:
 
 
 class TestFormatDetection:
-    def test_detects_all_three(self, tmp_path):
-        index = _index()
-        v1 = tmp_path / "v1.json"
-        save_index(index, v1)
-        assert detect_format(v1) == "v1"
-        sharded = ShardedIndex.from_documents(_documents(), 2)
-        v2 = tmp_path / "v2.json"
-        save_index(sharded, v2)
-        assert detect_format(v2) == "v2"
-        v3 = tmp_path / "v3.idx"
-        save_index(index, v3, format="v3")
-        assert detect_format(v3) == "v3"
-
     def test_missing_file_is_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            detect_format(tmp_path / "absent.idx")
+            load_index(tmp_path / "absent.idx")
 
     def test_garbage_is_format_error(self, tmp_path):
         path = tmp_path / "garbage.idx"
@@ -244,21 +257,290 @@ class TestFormatDetection:
         assert isinstance(excinfo.value, ReproError)
         assert isinstance(excinfo.value, ValueError)
 
-    def test_unknown_json_version_is_format_error(self, tmp_path):
-        path = tmp_path / "future.json"
-        path.write_text('{"format_version": 42}')
-        with pytest.raises(IndexFormatError, match="format version"):
+    def test_v1_json_file_is_format_error(self, tmp_path):
+        """The JSON formats are gone: a v1 payload is not an index."""
+        path = tmp_path / "corpus.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "format_version": 1,
+                    "analyzer": _index().analyzer.to_config(),
+                    "documents": [d.to_dict() for d in _documents()],
+                }
+            )
+        )
+        with pytest.raises(IndexFormatError, match="not a v3 index"):
             load_index(path)
+        with pytest.raises(IndexFormatError):
+            load_index(path, mode="memory")
 
-    def test_save_rejects_unknown_format(self, tmp_path):
-        with pytest.raises(IndexFormatError, match="format"):
-            save_index(_index(), tmp_path / "x.idx", format="v9")
+    @pytest.mark.parametrize("mode", ["auto", "memory"])
+    def test_future_format_version_is_format_error(self, tmp_path, mode):
+        path = tmp_path / "corpus.idx"
+        save_index(_index(), path)
+        with sqlite3.connect(path) as connection:
+            connection.execute(
+                "UPDATE repro_meta SET value = '99'"
+                " WHERE key = 'format_version'"
+            )
+        with pytest.raises(IndexFormatError, match="format version"):
+            load_index(path, mode=mode)
 
     def test_load_rejects_unknown_mode(self, tmp_path):
         path = tmp_path / "corpus.idx"
-        save_index(_index(), path, format="v3")
+        save_index(_index(), path)
         with pytest.raises(IndexFormatError, match="mode"):
             load_index(path, mode="streaming")
+
+    def test_other_generation_layout_is_format_error(self, tmp_path):
+        path = tmp_path / "corpus.idx"
+        save_index(_index(), path)
+        with sqlite3.connect(path) as connection:
+            connection.execute("UPDATE generations SET layout = 'single'")
+        with pytest.raises(IndexFormatError, match="layout"):
+            load_index(path)
+
+    def test_corrupt_placement_is_format_error(self, tmp_path):
+        path = tmp_path / "corpus.idx"
+        save_index(ShardedIndex.from_documents(_documents(), 2), path)
+        record = Manifest.open(path).latest_generation()
+        # One extra document placed on shard 1, which its segment lacks.
+        corrupt = encode_placements(record.placements + (1,))
+        with sqlite3.connect(path) as connection:
+            connection.execute("UPDATE generations SET placements = ?", (corrupt,))
+        with pytest.raises(IndexFormatError, match="places documents"):
+            load_index(path)
+        with pytest.raises(IndexFormatError):
+            load_index(path, mode="memory")
+
+
+class TestOneShape:
+    """Every save is segments behind a router, whatever was saved."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _index,
+            lambda: ShardedIndex.from_documents(_documents(), 1),
+            lambda: ShardedIndex.from_documents(_documents(), 4),
+        ],
+        ids=["bare-inverted", "one-shard", "four-shards"],
+    )
+    def test_attach_and_hydrate_types(self, tmp_path, build):
+        index = build()
+        path = tmp_path / "corpus.idx"
+        save_index(index, path)
+        attached = load_index(path)
+        try:
+            assert isinstance(attached, PackedShardedIndex)
+            assert attached.shard_count == getattr(index, "shard_count", 1)
+            assert attached.doc_ids == index.doc_ids
+        finally:
+            attached.close()
+        hydrated = load_index(path, mode="memory")
+        assert isinstance(hydrated, ShardedIndex)
+        assert hydrated.doc_ids == index.doc_ids
+        sharded = isinstance(index, ShardedIndex)
+        assert hydrated.shard_sizes() == (
+            index.shard_sizes() if sharded else [len(index)]
+        )
+        assert hydrated.stats() == index.stats()
+        assert list(hydrated.terms()) == list(index.terms())
+
+    def test_bare_index_saves_like_one_shard(self, tmp_path):
+        bare = save_v3(_index(), tmp_path / "bare.idx")
+        one = save_v3(
+            ShardedIndex.from_documents(_documents(), 1), tmp_path / "one.idx"
+        )
+        assert bare.fingerprint == one.fingerprint
+        assert bare.placements == one.placements == (0,) * len(_documents())
+        assert bare.merged_terms == one.merged_terms
+        assert (bare.router, bare.router_cursor) == ("hash", None)
+
+
+class TestRoundTrip:
+    """Documents, statistics, placements, router state and analyzer
+    survive save → load in both modes."""
+
+    @pytest.mark.parametrize("mode", ["auto", "memory"])
+    def test_documents_preserved(self, tmp_path, tiny_index, mode):
+        path = tmp_path / "corpus.idx"
+        save_index(tiny_index, path)
+        with _loaded(path, mode) as loaded:
+            assert loaded.doc_ids == tiny_index.doc_ids
+            for document in tiny_index:
+                assert loaded.document(document.doc_id) == document
+
+    @pytest.mark.parametrize("mode", ["auto", "memory"])
+    def test_statistics_preserved(self, tmp_path, tiny_index, mode):
+        path = tmp_path / "corpus.idx"
+        save_index(tiny_index, path)
+        with _loaded(path, mode) as loaded:
+            assert loaded.stats() == tiny_index.stats()
+            for term in tiny_index.terms():
+                assert loaded.document_frequency(
+                    term
+                ) == tiny_index.document_frequency(term)
+
+    @pytest.mark.parametrize("mode", ["auto", "memory"])
+    def test_search_results_preserved(self, tmp_path, tiny_index, mode):
+        path = tmp_path / "corpus.idx"
+        save_index(tiny_index, path)
+        expected = IndexSearcher(tiny_index).search("covid outbreak", k=5)
+        with _loaded(path, mode) as loaded:
+            hits = IndexSearcher(loaded).search("covid outbreak", k=5)
+            assert [(h.doc_id, h.score) for h in hits] == [
+                (h.doc_id, h.score) for h in expected
+            ]
+
+    @pytest.mark.parametrize("mode", ["auto", "memory"])
+    def test_hash_router_placements_survive_round_trip(self, tmp_path, mode):
+        index = ShardedIndex.from_documents(_many_documents(17), shard_count=4)
+        path = tmp_path / "hash.idx"
+        save_index(index, path)
+        assert len(list(tmp_path.glob("hash.idx-g1.s*.seg"))) == 4
+        with _loaded(path, mode) as loaded:
+            assert loaded.router.name == "hash"
+            assert loaded.shard_sizes() == index.shard_sizes()
+            for doc_id in index.doc_ids:
+                assert loaded.shard_of(doc_id) == index.shard_of(doc_id)
+            assert loaded.analyzer.to_config() == index.analyzer.to_config()
+
+    def test_round_robin_placements_survive_memory_round_trip(self, tmp_path):
+        index = ShardedIndex.from_documents(
+            _many_documents(17),
+            shard_count=3,
+            router=RoundRobinRouter(3),
+        )
+        path = tmp_path / "rr.idx"
+        save_index(index, path)
+        loaded = load_index(path, mode="memory")
+        assert loaded.router.name == "round-robin"
+        for doc_id in index.doc_ids:
+            assert loaded.shard_of(doc_id) == index.shard_of(doc_id)
+        # The restored router resumes the cycle where the saved one left off.
+        loaded.add(Document("rr-next", "a fresh virus story"))
+        index.add(Document("rr-next", "a fresh virus story"))
+        assert loaded.shard_of("rr-next") == index.shard_of("rr-next")
+
+    def test_round_robin_cursor_survives_removals(self, tmp_path):
+        # The cycle position cannot be derived from surviving documents:
+        # after a removal the persisted cursor must drive the next add.
+        documents = _many_documents(3)
+        index = ShardedIndex.from_documents(
+            documents, shard_count=2, router=RoundRobinRouter(2)
+        )
+        index.remove(documents[1].doc_id)
+        path = tmp_path / "rr-removed.idx"
+        save_index(index, path)
+        attached = load_index(path)
+        try:
+            assert attached.router.cursor == index.router.cursor
+        finally:
+            attached.close()
+        loaded = load_index(path, mode="memory")
+        assert loaded.router.cursor == index.router.cursor
+        loaded.add(Document("after-reload", "a fresh virus story"))
+        index.add(Document("after-reload", "a fresh virus story"))
+        assert loaded.shard_of("after-reload") == index.shard_of("after-reload")
+
+    def test_save_concurrent_with_mutation_is_consistent(self, tmp_path):
+        """A save racing corpus mutation must commit one coherent
+        generation: placements, segments and merged terms from the same
+        instant, so the load neither raises nor drops documents."""
+        index = ShardedIndex.from_documents(_many_documents(20), shard_count=3)
+        stop = threading.Event()
+
+        def mutate():
+            position = 0
+            while not stop.is_set():
+                index.add(Document(f"churn-{position}", "a rolling virus story"))
+                if position >= 3:
+                    index.remove(f"churn-{position - 3}")
+                position += 1
+
+        writer = threading.Thread(target=mutate, daemon=True)
+        writer.start()
+        try:
+            for round_number in range(10):
+                path = tmp_path / f"race-{round_number}.idx"
+                save_index(index, path)
+                loaded = load_index(path, mode="memory")
+                assert len(loaded) >= 20
+                assert len(loaded.doc_ids) == len(loaded)
+                assert sum(loaded.shard_sizes()) == len(loaded)
+                assert loaded.stats().unique_terms == len(list(loaded.terms()))
+        finally:
+            stop.set()
+            writer.join(timeout=10)
+
+    @pytest.mark.parametrize("mode", ["auto", "memory"])
+    def test_every_analyzer_config_field_round_trips(self, tmp_path, mode):
+        analyzer = Analyzer(
+            lowercase=False, remove_stopwords=False, stem=False,
+            min_token_length=3,
+        )
+        index = InvertedIndex.from_documents(_documents(), analyzer)
+        path = tmp_path / "surface.idx"
+        save_index(index, path)
+        loaded = load_index(path, mode=mode)
+        assert loaded.analyzer.to_config() == analyzer.to_config()
+        assert loaded.analyzer.stem is False
+        assert loaded.analyzer.min_token_length == 3
+        # Runtime-only analyzer state never leaks into the manifest.
+        stored = Manifest.open(path).latest_generation().analyzer_config
+        assert stored == analyzer.to_config()
+        assert "stopwords" not in stored and "_stemmer" not in stored
+
+    def test_saved_manifest_carries_every_analyzer_field(
+        self, tmp_path, tiny_index
+    ):
+        path = tmp_path / "corpus.idx"
+        save_index(tiny_index, path)
+        stored = Manifest.open(path).latest_generation().analyzer_config
+        assert stored == tiny_index.analyzer.to_config()
+        assert {
+            "lowercase", "remove_stopwords", "stem", "min_token_length"
+        } <= set(stored)
+        # Runtime-only state never leaks into the manifest.
+        assert "stopwords" not in stored and "_stemmer" not in stored
+
+    def _rewrite_analyzer(self, path, config):
+        with sqlite3.connect(path) as connection:
+            connection.execute(
+                "UPDATE generations SET analyzer = ?", (json.dumps(config),)
+            )
+
+    def test_missing_analyzer_keys_fall_back_to_defaults(self, tmp_path):
+        path = tmp_path / "sparse.idx"
+        save_index(_index(), path)
+        self._rewrite_analyzer(path, {"stem": False})
+        loaded = load_index(path, mode="memory")
+        assert loaded.analyzer.stem is False
+        assert loaded.analyzer.lowercase is True  # field default
+
+    def test_unknown_analyzer_keys_are_rejected(self, tmp_path):
+        """A manifest written by a newer analyzer must not load lossily."""
+        path = tmp_path / "future.idx"
+        save_index(_index(), path)
+        config = _index().analyzer.to_config()
+        config["bigram_shingles"] = True
+        self._rewrite_analyzer(path, config)
+        with pytest.raises(ValueError, match="bigram_shingles"):
+            load_index(path)
+
+    def test_resaving_narrower_collects_stale_segments(self, tmp_path):
+        path = tmp_path / "corpus.idx"
+        save_index(ShardedIndex.from_documents(_documents(), 4), path)
+        save_index(ShardedIndex.from_documents(_documents(), 2), path)
+        assert len(list(tmp_path.glob("corpus.idx-g*.seg"))) == 2
+        assert load_index(path, mode="memory").shard_count == 2
+
+    def test_parent_directories_created(self, tmp_path):
+        nested = tmp_path / "deep" / "dir" / "corpus.idx"
+        save_index(_index(), nested)
+        assert is_v3_manifest(nested)
+        assert load_index(nested, mode="memory").doc_ids == _index().doc_ids
 
 
 class TestReadOnlyContract:
@@ -271,7 +553,8 @@ class TestReadOnlyContract:
         view.close()
 
     def test_attach_returns_packed_view(self, packed):
-        assert isinstance(packed, PackedIndex)
+        assert isinstance(packed, PackedShardedIndex)
+        assert packed.shard_count == 1
         assert packed.storage_info()["format"] == "v3"
         assert packed.storage_info()["generation"] == 1
         assert packed.storage_info()["bytes_on_disk"] > 0
@@ -283,11 +566,28 @@ class TestReadOnlyContract:
         with pytest.raises(ReadOnlyIndexError):
             packed.add_documents([extra])
         with pytest.raises(ReadOnlyIndexError):
+            packed.add_documents([extra], workers=2, executor="thread")
+        with pytest.raises(ReadOnlyIndexError):
             packed.remove("doc-a")
         with pytest.raises(ReadOnlyIndexError):
             packed.replace(extra)
         # ReadOnlyIndexError is a ReproError, so service layers catch it.
         assert issubclass(ReadOnlyIndexError, ReproError)
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_engine_ingest_into_packed_index_is_read_only(
+        self, tmp_path, executor
+    ):
+        path = tmp_path / "corpus.idx"
+        save_v3(_index(), path)
+        engine = CredenceEngine.load(path, config=EngineConfig(ranker="bm25"))
+        try:
+            with pytest.raises(ReadOnlyIndexError):
+                engine.add_documents(
+                    [Document("doc-z", "new text")], executor=executor
+                )
+        finally:
+            engine.index.close()
 
     def test_sharded_attach_and_mutation(self, tmp_path):
         path = tmp_path / "sharded.idx"
@@ -339,9 +639,10 @@ class TestHydration:
     def test_memory_mode_round_trips_mutable(self, tmp_path):
         index = _index()
         path = tmp_path / "corpus.idx"
-        save_index(index, path, format="v3")
+        save_index(index, path)
         hydrated = load_index(path, mode="memory")
-        assert isinstance(hydrated, InvertedIndex)
+        assert isinstance(hydrated, ShardedIndex)
+        assert hydrated.shard_count == 1
         assert [d.doc_id for d in hydrated] == [d.doc_id for d in index]
         assert list(hydrated.terms()) == list(index.terms())
         for term in index.terms():
@@ -359,7 +660,7 @@ class TestHydration:
     def test_sharded_memory_mode_restores_layout(self, tmp_path):
         sharded = ShardedIndex.from_documents(_documents(), 3)
         path = tmp_path / "sharded.idx"
-        save_index(sharded, path, format="v3")
+        save_index(sharded, path)
         hydrated = load_index(path, mode="memory")
         assert isinstance(hydrated, ShardedIndex)
         assert hydrated.shard_count == 3

@@ -2,10 +2,11 @@
 
 The acceptance contract of the sharded backend: ranks, scores, and every
 explainer's full ``to_dict()`` payload are **byte-identical** between a
-plain single index (``shards=None``), a one-shard sharded index
-(``shards=1``), and a four-shard sharded index (``shards=4``) over the
-same corpus — across the BM25 / TF-IDF / LM ranker families and the LTR
-feature ranker, for all six explanation strategies.
+bare :class:`InvertedIndex` (the reference), the default one-shard
+engine (``EngineConfig(shards=1)``), and a four-shard engine
+(``EngineConfig(shards=4)``) over the same corpus — across the BM25 /
+TF-IDF / LM ranker families and the LTR feature ranker, for all six
+explanation strategies.
 """
 
 import json
@@ -40,11 +41,15 @@ LEXICAL_RANKERS = ("bm25", "tfidf", "lm")
 
 
 def _engine(ranker: str, shards: int | None) -> CredenceEngine:
+    """``shards=None`` wraps a bare InvertedIndex: the reference."""
+    if shards is None:
+        return CredenceEngine.from_index(
+            InvertedIndex.from_documents(_corpus()),
+            EngineConfig(ranker=ranker, seed=5),
+        )
     return CredenceEngine(
         _corpus(),
-        EngineConfig(ranker=ranker, seed=5),
-        shards=shards,
-        ingest_workers=2 if shards else None,
+        EngineConfig(ranker=ranker, seed=5, shards=shards, ingest_workers=2),
     )
 
 
@@ -75,6 +80,9 @@ class TestRankingEquivalence:
         assert isinstance(plain.index, InvertedIndex)
         assert isinstance(one.index, ShardedIndex) and one.index.shard_count == 1
         assert isinstance(four.index, ShardedIndex) and four.index.shard_count == 4
+        default = CredenceEngine(_corpus(), EngineConfig(ranker="bm25"))
+        assert isinstance(default.index, ShardedIndex)
+        assert default.index.shard_count == 1
 
 
 class TestExplainerEquivalence:
@@ -125,9 +133,12 @@ class TestMutatedCorpusEquivalence:
 
     def test_after_add_and_remove(self):
         documents = _corpus()
-        plain = CredenceEngine(documents, EngineConfig(ranker="bm25", seed=5))
+        plain = CredenceEngine.from_index(
+            InvertedIndex.from_documents(documents),
+            EngineConfig(ranker="bm25", seed=5),
+        )
         sharded = CredenceEngine(
-            documents, EngineConfig(ranker="bm25", seed=5), shards=4
+            documents, EngineConfig(ranker="bm25", seed=5, shards=4)
         )
         extra = documents[0].with_body(
             "A brand new covid outbreak overwhelmed the hospital wards."
@@ -162,7 +173,7 @@ class TestMutatedCorpusEquivalence:
             "Observers noted the evening report again.",
         )
         warmed = CredenceEngine(
-            documents, EngineConfig(ranker="bm25", seed=5), shards=4
+            documents, EngineConfig(ranker="bm25", seed=5, shards=4)
         )
         for strategy in ("instance/doc2vec", "instance/cosine"):
             warmed.explain(  # warm the model / vector caches
@@ -179,7 +190,7 @@ class TestMutatedCorpusEquivalence:
         final_corpus = [d for d in documents if d.doc_id != documents[5].doc_id]
         final_corpus.append(extra)
         fresh = CredenceEngine(
-            final_corpus, EngineConfig(ranker="bm25", seed=5), shards=4
+            final_corpus, EngineConfig(ranker="bm25", seed=5, shards=4)
         )
         target = fresh.rank(QUERY, K).doc_ids[0]
         for strategy, knobs in (

@@ -1,7 +1,6 @@
 """The sharded corpus backend: routers, merged views, bulk ingestion,
-persistence, and surface parity with a single inverted index."""
-
-import json
+and surface parity with a single inverted index. Persistence of
+placements and router state is covered in ``test_persist_format.py``."""
 
 import pytest
 
@@ -23,7 +22,6 @@ from repro.index.similarity import (
     DirichletSimilarity,
     TfIdfSimilarity,
 )
-from repro.index.storage import load_index, save_index
 from repro.text.analyzer import default_analyzer
 
 QUERY = "virus vaccine hospital market storm"
@@ -62,6 +60,11 @@ class TestRouters:
         assert isinstance(build_router("round-robin", 2), RoundRobinRouter)
         with pytest.raises(ConfigurationError):
             build_router("modulo", 2)
+
+    def test_round_robin_cursor_validation(self):
+        router = RoundRobinRouter(3)
+        with pytest.raises(ConfigurationError):
+            router.cursor = 3
 
     def test_router_shard_count_must_match(self):
         with pytest.raises(ConfigurationError):
@@ -302,163 +305,3 @@ class TestAnalysisMemo:
         memo = AnalysisMemo(default_analyzer())
         assert memo.analyze("the the the") == []
         assert len(memo) == 1
-
-
-class TestPersistence:
-    def test_v2_roundtrip_hash_router(self, tmp_path, corpus, sharded):
-        path = tmp_path / "corpus.json"
-        save_index(sharded, path)
-        manifest = json.loads(path.read_text())
-        assert manifest["format_version"] == 2
-        assert manifest["shard_count"] == 4
-        assert len(list(tmp_path.glob("corpus.shard-*.json"))) == 4
-        loaded = load_index(path)
-        assert isinstance(loaded, ShardedIndex)
-        assert loaded.doc_ids == sharded.doc_ids
-        assert loaded.shard_sizes() == sharded.shard_sizes()
-        assert loaded.stats() == sharded.stats()
-        assert list(loaded.terms()) == list(sharded.terms())
-        assert loaded.analyzer.to_config() == sharded.analyzer.to_config()
-
-    def test_v2_roundtrip_preserves_round_robin_placements(self, tmp_path, corpus):
-        index = ShardedIndex.from_documents(
-            corpus[:17], shard_count=3, router=RoundRobinRouter(3)
-        )
-        path = tmp_path / "rr.json"
-        save_index(index, path)
-        loaded = load_index(path)
-        for doc_id in index.doc_ids:
-            assert loaded.shard_of(doc_id) == index.shard_of(doc_id)
-        # The restored router resumes the cycle where the saved one left off.
-        loaded.add(Document("rr-next", "a fresh virus story"))
-        index.add(Document("rr-next", "a fresh virus story"))
-        assert loaded.shard_of("rr-next") == index.shard_of("rr-next")
-
-    def test_round_robin_cursor_survives_removals(self, tmp_path, corpus):
-        # The cycle position cannot be derived from surviving documents:
-        # after a removal the persisted cursor must drive the next add.
-        index = ShardedIndex.from_documents(
-            corpus[:3], shard_count=2, router=RoundRobinRouter(2)
-        )
-        index.remove(corpus[1].doc_id)
-        path = tmp_path / "rr-removed.json"
-        save_index(index, path)
-        loaded = load_index(path)
-        assert loaded.router.cursor == index.router.cursor
-        loaded.add(Document("after-reload", "a fresh virus story"))
-        index.add(Document("after-reload", "a fresh virus story"))
-        assert loaded.shard_of("after-reload") == index.shard_of("after-reload")
-
-    def test_round_robin_cursor_validation(self):
-        router = RoundRobinRouter(3)
-        with pytest.raises(ConfigurationError):
-            router.cursor = 3
-
-    def test_resaving_narrower_removes_stale_shard_files(self, tmp_path, corpus):
-        path = tmp_path / "corpus.json"
-        save_index(ShardedIndex.from_documents(corpus, shard_count=4), path)
-        save_index(ShardedIndex.from_documents(corpus, shard_count=2), path)
-        assert len(list(tmp_path.glob("corpus.shard-*.json"))) == 2
-        assert load_index(path).shard_count == 2
-
-    def test_v1_single_index_still_roundtrips(self, tmp_path, single):
-        path = tmp_path / "single.json"
-        save_index(single, path)
-        assert json.loads(path.read_text())["format_version"] == 1
-        loaded = load_index(path)
-        assert isinstance(loaded, InvertedIndex)
-        assert loaded.doc_ids == single.doc_ids
-
-    def test_save_concurrent_with_mutation_is_consistent(self, tmp_path, corpus):
-        """A save racing corpus mutation must capture one coherent state.
-
-        The manifest and shard files come from a single atomic snapshot;
-        a torn save would make load_index silently drop (or fail on) the
-        documents that mutated mid-save.
-        """
-        import threading
-
-        index = ShardedIndex.from_documents(corpus[:20], shard_count=3)
-        stop = threading.Event()
-
-        def mutate():
-            position = 0
-            while not stop.is_set():
-                doc_id = f"churn-{position}"
-                index.add(Document(doc_id, "a rolling virus story"))
-                if position >= 3:
-                    index.remove(f"churn-{position - 3}")
-                position += 1
-
-        writer = threading.Thread(target=mutate, daemon=True)
-        writer.start()
-        try:
-            for round_number in range(10):
-                path = tmp_path / f"race-{round_number}.json"
-                save_index(index, path)
-                loaded = load_index(path)  # must never raise / drop docs
-                assert len(loaded) >= 20
-                assert list(loaded.terms())  # coherent merged stats
-        finally:
-            stop.set()
-            writer.join(timeout=10)
-
-    def test_export_state_snapshot_is_coherent(self, corpus):
-        index = ShardedIndex.from_documents(corpus[:15], shard_count=3)
-        placements, shard_documents, version, cursor = index.export_state()
-        assert [doc_id for doc_id, _ in placements] == index.doc_ids
-        assert version == index.version
-        assert cursor is None  # hash router carries no cycle state
-        by_shard = [len(docs) for docs in shard_documents]
-        assert by_shard == index.shard_sizes()
-        for doc_id, shard in placements:
-            assert doc_id in {d.doc_id for d in shard_documents[shard]}
-
-    def test_interrupted_resave_leaves_previous_save_loadable(
-        self, tmp_path, corpus, monkeypatch
-    ):
-        """Crash safety: the manifest rename is the commit point.
-
-        A re-save that dies after writing its shard files but before the
-        manifest must leave the *previous* save fully loadable — its
-        generation-named shard files are never overwritten.
-        """
-        import repro.index.storage as storage
-
-        path = tmp_path / "corpus.json"
-        index = ShardedIndex.from_documents(corpus[:10], shard_count=2)
-        save_index(index, path)
-        first_doc_ids = index.doc_ids
-
-        index.add_documents(corpus[10:20])
-        original = storage._write_json
-
-        def dying_write(target, payload):
-            if target == path:  # the manifest write = the commit point
-                raise OSError("disk full")
-            original(target, payload)
-
-        monkeypatch.setattr(storage, "_write_json", dying_write)
-        with pytest.raises(OSError, match="disk full"):
-            save_index(index, path)
-        monkeypatch.setattr(storage, "_write_json", original)
-
-        loaded = load_index(path)  # the old manifest + its own shard files
-        assert loaded.doc_ids == first_doc_ids
-        # And a subsequent successful save commits the new state + GCs.
-        save_index(index, path)
-        assert load_index(path).doc_ids == index.doc_ids
-        referenced = set(
-            json.loads(path.read_text())["shard_files"]
-        )
-        on_disk = {p.name for p in tmp_path.glob("corpus.shard-*.json")}
-        assert on_disk == referenced
-
-    def test_corrupt_manifest_placement_raises(self, tmp_path, corpus):
-        path = tmp_path / "corpus.json"
-        save_index(ShardedIndex.from_documents(corpus[:5], shard_count=2), path)
-        manifest = json.loads(path.read_text())
-        manifest["placements"].append(["ghost-doc", 1])
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="ghost-doc"):
-            load_index(path)

@@ -5,8 +5,6 @@ library fails loudly (library-typed errors) or degrades gracefully
 (empty explanation sets), never silently corrupts results.
 """
 
-import json
-
 import pytest
 
 from repro.core.document_cf import CounterfactualDocumentExplainer
@@ -15,6 +13,7 @@ from repro.core.explain import ExplainRequest
 from repro.errors import IndexFormatError, IndexStateError, RankingError, ReproError
 from repro.index.document import Document
 from repro.index.inverted import InvertedIndex
+from repro.index.persist import Manifest
 from repro.index.searcher import IndexSearcher
 from repro.index.storage import load_index, save_index
 from repro.ranking.base import Ranker, Ranking
@@ -64,25 +63,26 @@ class TestDegenerateCorpora:
 
 class TestCorruptPersistence:
     def test_truncated_index_file(self, tiny_index, tmp_path):
-        path = tmp_path / "index.json"
+        path = tmp_path / "corpus.idx"
         save_index(tiny_index, path)
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
+        (segment,) = tmp_path.glob("corpus.idx-g*.seg")
+        segment.write_bytes(segment.read_bytes()[: segment.stat().st_size // 2])
         # Corruption surfaces as the library-typed IndexFormatError (a
-        # ReproError and a ValueError), never a raw JSONDecodeError.
+        # ReproError and a ValueError), never a raw struct/mmap error.
         with pytest.raises(IndexFormatError):
             load_index(path)
         with pytest.raises(ReproError):
             load_index(path)
 
-    def test_missing_required_field(self, tmp_path):
-        path = tmp_path / "index.json"
-        path.write_text(json.dumps({"format_version": 1, "documents": []}))
-        with pytest.raises(KeyError):
+    def test_manifest_without_generation(self, tmp_path):
+        path = tmp_path / "corpus.idx"
+        Manifest.create(path)
+        with pytest.raises(IndexFormatError, match="no committed generation"):
             load_index(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_index(tmp_path / "absent.json")
+            load_index(tmp_path / "absent.idx")
 
 
 class _ConstantRanker(Ranker):

@@ -266,7 +266,7 @@ class TestPackedIndexZeroCopyPath:
 
         engine = _engine()
         manifest = tmp_path / "index.v3"
-        save_index(engine.index, manifest, format="v3")
+        save_index(engine.index, manifest)
         packed = CredenceEngine.from_index(
             load_index(manifest), config=EngineConfig(ranker="bm25", seed=5)
         )

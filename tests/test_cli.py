@@ -227,12 +227,12 @@ class TestIndexCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "indexed 62 documents" in out
-        assert "shards" not in out
+        assert "1 shard (hash router): shard 0: 62" in out
 
     def test_index_sharded_with_save(self, capsys, tmp_path, tiny_docs):
         corpus = tmp_path / "docs.jsonl"
         save_jsonl(tiny_docs, corpus)
-        out_path = tmp_path / "built.json"
+        out_path = tmp_path / "built.idx"
         code = main(
             [
                 "index",
@@ -240,7 +240,6 @@ class TestIndexCommand:
                 "--shards", "2",
                 "--workers", "2",
                 "--save", str(out_path),
-                "--format", "v2",
                 "--json",
             ]
         )
@@ -248,13 +247,14 @@ class TestIndexCommand:
         assert code == 0
         assert payload["shards"] == 2
         assert payload["router"] == "hash"
-        assert payload["format"] == "v2"
+        assert payload["format"] == "v3"
         assert sum(payload["shard_documents"]) == payload["documents"]
         from repro.index.sharding import ShardedIndex
         from repro.index.storage import load_index
 
-        loaded = load_index(out_path)
+        loaded = load_index(out_path, mode="memory")
         assert isinstance(loaded, ShardedIndex)
+        assert loaded.shard_count == 2
         assert len(loaded) == len(tiny_docs)
 
     def test_index_round_robin_router(self, capsys, tmp_path, tiny_docs):

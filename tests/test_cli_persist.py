@@ -1,7 +1,8 @@
 """CLI coverage for the persistence surface.
 
-``index --save --format``, ``compact``, and the exit-2 contract for
-unknown/corrupt index files. All in-process through ``main([...])``.
+``index --save`` (always v3), the removed ``--format``/``compact``
+surface, and the exit-2 contract for corrupt index files. All
+in-process through ``main([...])``.
 """
 
 import json
@@ -10,8 +11,8 @@ import pytest
 
 from repro.cli import main
 from repro.datasets.loaders import save_jsonl
-from repro.index.persist import PackedIndex, PackedShardedIndex
-from repro.index.storage import detect_format, load_index
+from repro.index.persist import PackedShardedIndex, is_v3_manifest
+from repro.index.storage import load_index
 
 
 def _build(tmp_path, tiny_docs, out_path, *extra):
@@ -35,22 +36,15 @@ class TestIndexSaveFormats:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["format"] == "v3"
-        assert detect_format(out_path) == "v3"
+        assert is_v3_manifest(out_path)
         loaded = load_index(out_path)
         try:
-            assert isinstance(loaded, PackedIndex)
+            # --shards 1 (the default) is a one-shard index.
+            assert isinstance(loaded, PackedShardedIndex)
+            assert loaded.shard_count == 1
             assert len(loaded) == len(tiny_docs)
         finally:
             loaded.close()
-
-    def test_v2_keeps_legacy_json(self, capsys, tmp_path, tiny_docs):
-        out_path = tmp_path / "built.json"
-        code = _build(tmp_path, tiny_docs, out_path, "--format", "v2")
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert payload["format"] == "v2"
-        assert detect_format(out_path) == "v1"  # plain index → v1 file
-        assert json.loads(out_path.read_text())["format_version"] == 1
 
     def test_sharded_v3_save(self, capsys, tmp_path, tiny_docs):
         out_path = tmp_path / "built.idx"
@@ -67,81 +61,19 @@ class TestIndexSaveFormats:
         finally:
             loaded.close()
 
-    def test_unknown_format_rejected_by_parser(self, tmp_path, tiny_docs):
+
+class TestRemovedSurfaces:
+    def test_format_flag_is_gone(self, tmp_path, tiny_docs):
         with pytest.raises(SystemExit):
-            _build(tmp_path, tiny_docs, tmp_path / "x.idx", "--format", "v9")
+            _build(tmp_path, tiny_docs, tmp_path / "x.idx", "--format", "v3")
 
-
-class TestCompact:
-    @pytest.mark.parametrize("src_shards", ["1", "2"], ids=["plain", "sharded"])
-    def test_v2_to_v3_round_trip(self, capsys, tmp_path, tiny_docs, src_shards):
-        src = tmp_path / "legacy.json"
-        assert (
-            _build(
-                tmp_path, tiny_docs, src,
-                "--format", "v2", "--shards", src_shards,
-            )
-            == 0
-        )
-        capsys.readouterr()
-        dst = tmp_path / "packed.idx"
-        code = main(["compact", str(src), str(dst), "--json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert payload["dst_format"] == "v3"
-        assert payload["documents"] == len(tiny_docs)
-        assert payload["src_bytes"] > 0 and payload["dst_bytes"] > 0
-        assert detect_format(dst) == "v3"
-        src_index = load_index(src)
-        dst_index = load_index(dst)
-        try:
-            assert dst_index.doc_ids == [d.doc_id for d in src_index]
-            assert list(dst_index.terms()) == list(src_index.terms())
-        finally:
-            dst_index.close()
-
-    def test_v3_to_v2_downgrade(self, capsys, tmp_path, tiny_docs):
-        src = tmp_path / "packed.idx"
-        assert _build(tmp_path, tiny_docs, src) == 0
-        capsys.readouterr()
-        dst = tmp_path / "legacy.json"
-        code = main(
-            ["compact", str(src), str(dst), "--format", "v2", "--json"]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert detect_format(dst) == "v1"
-        assert payload["src_format"] == "v3"
-
-    def test_human_output(self, capsys, tmp_path, tiny_docs):
-        src = tmp_path / "packed.idx"
-        assert _build(tmp_path, tiny_docs, src) == 0
-        capsys.readouterr()
-        code = main(["compact", str(src), str(tmp_path / "copy.idx")])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "compacted" in out and "v3" in out
+    def test_compact_command_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compact", str(tmp_path / "a.idx"), str(tmp_path / "b.idx")])
+        assert excinfo.value.code == 2
 
 
 class TestCorruptInputExitCodes:
-    def test_compact_corrupt_source_exits_2(self, capsys, tmp_path):
-        bogus = tmp_path / "bogus.idx"
-        bogus.write_bytes(b"\x00\x01 not an index")
-        code = main(["compact", str(bogus), str(tmp_path / "out.idx")])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "error:" in captured.err
-        # The clean library-typed message, not a JSON traceback.
-        assert "recognised" in captured.err
-
-    def test_compact_unknown_version_exits_2(self, capsys, tmp_path):
-        bogus = tmp_path / "future.json"
-        bogus.write_text('{"format_version": 42}')
-        code = main(["compact", str(bogus), str(tmp_path / "out.idx")])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "unsupported index format version" in captured.err
-
     def test_serve_replica_corrupt_index_exits_2(self, capsys, tmp_path):
         bogus = tmp_path / "bogus.idx"
         bogus.write_text("not sqlite")
@@ -149,3 +81,20 @@ class TestCorruptInputExitCodes:
         captured = capsys.readouterr()
         assert code == 2
         assert "error:" in captured.err
+
+    def test_serve_replica_legacy_json_index_exits_2(
+        self, capsys, tmp_path, tiny_docs
+    ):
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(
+            json.dumps(
+                {
+                    "format_version": 1,
+                    "documents": [d.to_dict() for d in tiny_docs],
+                }
+            )
+        )
+        code = main(["serve", "--replica", str(legacy), "--port", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "not a v3 index" in captured.err

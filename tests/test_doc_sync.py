@@ -9,7 +9,8 @@ stay true as the public surface evolves:
 2. the documentation set itself exists and is substantive (README,
    architecture guide, cookbook, API hub and its per-area pages);
 3. every relative link between markdown documents resolves;
-4. no document or example names a removed explain surface.
+4. no document or example names a removed explain or persistence
+   surface.
 """
 
 import inspect
@@ -159,9 +160,11 @@ def test_docs_cover_the_eval_harness(name):
     )
 
 
-#: Explain surfaces that were removed in favour of ``engine.explain``,
-#: ``POST /explanations`` and ``explain --strategy``; no document or
-#: example may name them again.
+#: Surfaces that were removed: the explain surfaces folded into
+#: ``engine.explain``, ``POST /explanations`` and ``explain --strategy``,
+#: and the JSON index formats, ``repro compact`` and ``shards=None``
+#: (v3 is the only format; every corpus is a ``ShardedIndex``). No
+#: document or example may name them again.
 REMOVED_SURFACES = (
     "explain_document(",
     "explain_query(",
@@ -180,6 +183,13 @@ REMOVED_SURFACES = (
     "with_strategy",
     "parallel=",
     "--parallel",
+    "repro compact",
+    "cli compact",
+    "detect_format",
+    "FORMAT_CHOICES",
+    'format="v3"',
+    "--format v2",
+    "shards=None",
 )
 
 
@@ -196,7 +206,7 @@ def test_docs_and_examples_name_no_removed_surface():
         for needle in REMOVED_SURFACES
         if needle in path.read_text(encoding="utf-8")
     ]
-    assert not named, f"removed explain surfaces are still documented: {named}"
+    assert not named, f"removed surfaces are still documented: {named}"
 
 
 _LINK = re.compile(r"\[[^\]]+\]\(([^)#]+)(?:#[^)]*)?\)")
