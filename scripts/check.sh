@@ -40,10 +40,6 @@ echo "== smoke: process-tier benchmark (byte-identical across tiers) =="
 PROC_SMOKE=1 python -m pytest -q benchmarks/bench_process_tier.py
 
 echo
-echo "== smoke: sharded parallel-ingest benchmark (>= 2x full target) =="
-SHARDED_INGEST_SMOKE=1 python -m pytest -q benchmarks/bench_sharded_ingest.py
-
-echo
 echo "== smoke: tracing overhead benchmark (no-op path + on/off sweeps) =="
 OBS_SMOKE=1 python -m pytest -q benchmarks/bench_obs.py
 

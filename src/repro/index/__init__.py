@@ -13,8 +13,8 @@ behind a router (:mod:`repro.index.sharding`), where "plain" means one
 segment. A :class:`ShardedIndex` routes documents across N
 :class:`InvertedIndex` shards, keeps merged corpus-level statistics so
 scores stay byte-identical to a bare :class:`InvertedIndex`,
-bulk-ingests through one analysis memo, and fans retrieval out per
-shard; a saved generation stores the same segments, and attaches as a
+bulk-ingests through the analyzer's token memo, and fans retrieval out
+per shard; a saved generation stores the same segments, and attaches as a
 :class:`PackedShardedIndex`.
 """
 
@@ -23,7 +23,6 @@ from repro.index.inverted import InvertedIndex
 from repro.index.postings import Posting, PostingsList
 from repro.index.searcher import IndexSearcher, SearchHit
 from repro.index.sharding import (
-    AnalysisMemo,
     HashRouter,
     MergedPostings,
     MergedStats,
@@ -60,7 +59,6 @@ __all__ = [
     "Similarity",
     "TfIdfSimilarity",
     "CollectionStats",
-    "AnalysisMemo",
     "HashRouter",
     "MergedPostings",
     "MergedStats",

@@ -92,8 +92,8 @@ class InvertedIndex:
 
         ``terms`` must be exactly ``self.analyzer.analyze(document.body)``;
         callers that analyze up front (bulk ingestion, the sharded
-        backend's shared analysis memo) use this to avoid re-analyzing
-        inside the index.
+        backend, the process-tier analysis pool) use this to avoid
+        re-analyzing inside the index.
         """
         positions: dict[str, list[int]] = {}
         for position, term in enumerate(terms):
@@ -157,15 +157,15 @@ class InvertedIndex:
         Interface parity with
         :meth:`~repro.index.sharding.ShardedIndex.add_documents`: a
         single-shard index builds its postings serially (``workers``
-        alone cannot help — there is only one shard), reusing a
-        per-ingest :class:`~repro.index.sharding.AnalysisMemo` so
-        repeated surface forms are analyzed once. ``executor="process"``
-        offloads the analysis step to ``workers`` worker processes
-        (byte-identical output, computed off the GIL). Duplicate ids
-        (against the index or within the batch) raise ``ValueError``
-        before anything mutates.
+        alone cannot help — there is only one shard), analyzing each
+        body with ``analyzer.analyze``, whose memo analyzes each
+        distinct surface form once. ``executor="process"`` offloads the
+        analysis step to ``workers`` worker processes (byte-identical
+        output, computed off the GIL). Duplicate ids (against the index
+        or within the batch) raise ``ValueError`` before anything
+        mutates.
         """
-        from repro.index.sharding import AnalysisMemo, analyze_in_processes
+        from repro.index.sharding import analyze_in_processes
 
         if executor not in (None, "thread", "process"):
             raise ValueError(
@@ -187,9 +187,10 @@ class InvertedIndex:
                 for document, terms in zip(documents, precomputed):
                     self.add_analyzed(document, terms)
             else:
-                memo = AnalysisMemo(self.analyzer)
                 for document in documents:
-                    self.add_analyzed(document, memo.analyze(document.body))
+                    self.add_analyzed(
+                        document, self.analyzer.analyze(document.body)
+                    )
         return len(documents)
 
     # -- lookups -------------------------------------------------------------

@@ -54,6 +54,20 @@ METRIC_HELP = {
     "repro_store_misses_total": ("counter", "Result-store misses."),
     "repro_store_evictions_total": ("counter", "Result-store capacity evictions."),
     "repro_store_expirations_total": ("counter", "Result-store TTL expirations."),
+    "repro_analyzer_memo_entries": (
+        "gauge",
+        "Surface tokens in the analyzer's token memo (parent process).",
+    ),
+    "repro_analyzer_memo_capacity": ("gauge", "Analyzer token-memo capacity."),
+    "repro_analyzer_memo_hits_total": ("counter", "Analyzer token-memo hits."),
+    "repro_analyzer_memo_misses_total": (
+        "counter",
+        "Analyzer token-memo misses (fresh token analyses).",
+    ),
+    "repro_analyzer_memo_evictions_total": (
+        "counter",
+        "Analyzer token-memo entries evicted at capacity.",
+    ),
     "repro_item_latency_seconds": ("summary", "Per-item execution latency."),
     "repro_item_latency_by_priority_seconds": (
         "summary",
@@ -191,6 +205,13 @@ def render_prometheus(snapshot: dict) -> str:
     lines.sample("repro_store_misses_total", store["misses"])
     lines.sample("repro_store_evictions_total", store["evictions"])
     lines.sample("repro_store_expirations_total", store["expirations"])
+
+    memo = snapshot["analyzer"]
+    lines.sample("repro_analyzer_memo_entries", memo["entries"])
+    lines.sample("repro_analyzer_memo_capacity", memo["capacity"])
+    lines.sample("repro_analyzer_memo_hits_total", memo["hits"])
+    lines.sample("repro_analyzer_memo_misses_total", memo["misses"])
+    lines.sample("repro_analyzer_memo_evictions_total", memo["evictions"])
 
     _summary(lines, "repro_item_latency_seconds", snapshot["item_latency"])
     for priority, window in snapshot["latency_by_priority"].items():

@@ -217,7 +217,6 @@ def _worker_main(spec: WorkerSpec, conn) -> None:
             conn.send(("init_error", f"{type(error).__name__}: {error}"))
         conn.close()
         return
-    memo = None
     while True:
         try:
             message = conn.recv()
@@ -232,11 +231,9 @@ def _worker_main(spec: WorkerSpec, conn) -> None:
             if op == "explain":
                 reply = _remote_explain(engine, message[1], message[2])
             elif op == "analyze":
-                if memo is None:
-                    from repro.index.sharding import AnalysisMemo
-
-                    memo = AnalysisMemo(analyzer)
-                reply = ("ok", [memo.analyze(body) for body in message[1]], None)
+                reply = (
+                    "ok", [analyzer.analyze(body) for body in message[1]], None
+                )
             elif op == "ping":
                 reply = ("ok", "pong", None)
             else:
@@ -546,10 +543,10 @@ class ProcessWorkerPool:
     def analyze(self, bodies: list) -> list:
         """Analyze document bodies remotely; returns per-body term lists.
 
-        Byte-identical to local analysis: the worker runs the same
-        memoized :class:`~repro.index.sharding.AnalysisMemo` pipeline
-        over an :class:`~repro.text.analyzer.Analyzer` rebuilt from the
-        identical configuration.
+        Byte-identical to local analysis: the worker runs
+        :meth:`~repro.text.analyzer.Analyzer.analyze`, memoized per
+        surface form, on an analyzer rebuilt from the identical
+        configuration.
         """
         status, payload, _ = self.call(("analyze", list(bodies)))
         if status == "ok":

@@ -550,8 +550,8 @@ class ExplanationService:
     # -- observability & lifecycle ---------------------------------------------
 
     def metrics_snapshot(self) -> dict:
-        """Counters + latency + store + queue + admission state for
-        ``GET /metrics``."""
+        """Counters + latency + store + queue + admission + analyzer-memo
+        state for ``GET /metrics``."""
         snapshot = self.metrics.snapshot()
         snapshot["store"] = self.store.stats()
         snapshot["cache_hit_rate"] = snapshot["store"]["hit_rate"]
@@ -568,6 +568,9 @@ class ExplanationService:
             snapshot["executor"] = thread_executor_block(
                 self.pool.worker_count
             )
+        # The parent process's analyzer only: process-tier workers keep
+        # their own memos.
+        snapshot["analyzer"] = self.engine.index.analyzer.memo.stats()
         snapshot["draining"] = self._draining
         snapshot["faults"] = self.faults.counts()
         with self._jobs_lock:

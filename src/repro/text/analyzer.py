@@ -6,16 +6,28 @@ same instance must be shared by every component of an engine, because the
 counterfactual algorithms reason about *terms* ("which query terms does
 this sentence contain?"), and that question only has a consistent answer
 if everyone analyses text identically.
+
+Token analysis is context-free, so each analyzer memoizes it per
+distinct surface token (:class:`TokenMemo`): every path — explain, rank,
+serve and ingest — normalizes and stems a surface form once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass, field, fields
+from itertools import islice
 
 from repro.text.stemmer import PorterStemmer
 from repro.text.stopwords import ENGLISH_STOPWORDS
-from repro.text.tokenizer import Token, iter_tokens
+from repro.text.tokenizer import Token, token_texts, tokenize
 from repro.text.unicode import normalize_text
+
+#: Distinct surface tokens one analyzer memoizes. A full memo drops its
+#: oldest half (the segmented eviction of ``ScoreCache``).
+MEMO_CAPACITY = 1 << 16
+
+_ABSENT = object()
 
 
 @dataclass(frozen=True)
@@ -34,7 +46,58 @@ class AnalyzedToken:
         return self.token.end
 
 
-@dataclass
+class TokenMemo:
+    """Bounded memo of raw token text → analyzed term (None if filtered).
+
+    Lookups read :attr:`terms` without a lock. Inserts, evictions and
+    the counters take one lock, once per analyzed text. A lookup racing
+    an eviction either finds its entry or recomputes it; a key's value
+    never changes, so it can never read a wrong term. ``hits`` and
+    ``misses`` count token lookups; a miss is one fresh analysis.
+    """
+
+    def __init__(self) -> None:
+        self.terms: dict[str, str | None] = {}
+        self.capacity = MEMO_CAPACITY
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self._lock = threading.Lock()
+
+    def record(self, lookups: int, fresh: dict[str, str | None]) -> None:
+        """Count one text's ``lookups`` and insert its ``fresh`` terms."""
+        with self._lock:
+            self.hits += lookups - len(fresh)
+            self.misses += len(fresh)
+            terms = self.terms
+            for raw, term in fresh.items():
+                if raw in terms:  # a concurrent text analyzed it first
+                    continue
+                if len(terms) >= self.capacity:
+                    stale = list(islice(terms, len(terms) - self.capacity // 2))
+                    for key in stale:
+                        del terms[key]
+                    self.evictions += len(stale)
+                terms[raw] = term
+
+    def stats(self) -> dict:
+        """Size and counters for ``GET /metrics``."""
+        with self._lock:
+            return {
+                "entries": len(self.terms),
+                "capacity": self.capacity,
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+            }
+
+    def __reduce__(self):
+        # A copied or unpickled analyzer starts with an empty memo (a
+        # lock cannot be pickled; the terms are cheap to recompute).
+        return (TokenMemo, ())
+
+
+@dataclass(frozen=True)
 class Analyzer:
     """Configurable text-analysis pipeline.
 
@@ -42,6 +105,10 @@ class Analyzer:
     stopwords, Porter stemming. Disable stemming/stopwords for components
     that need surface forms (e.g. the query-augmentation explainer shows
     users real document terms, not stems).
+
+    The configuration is immutable, so the :class:`TokenMemo` can never
+    outlive the settings its terms were computed under;
+    ``dataclasses.replace`` builds an analyzer with a fresh memo.
     """
 
     lowercase: bool = True
@@ -50,13 +117,16 @@ class Analyzer:
     stopwords: frozenset[str] = ENGLISH_STOPWORDS
     min_token_length: int = 1
     _stemmer: PorterStemmer = field(default_factory=PorterStemmer, repr=False)
+    memo: TokenMemo = field(
+        default_factory=TokenMemo, init=False, compare=False, repr=False
+    )
 
     def analyze_token(self, text: str) -> str | None:
         """Analyse one raw token; None if the pipeline filters it out.
 
-        Token analysis is independent of surrounding text, which is what
-        lets bulk ingestion memoize this call per distinct surface form
-        (:class:`~repro.index.sharding.AnalysisMemo`) with byte-identical
+        The uncached kernel behind :attr:`memo`. Token analysis is
+        independent of surrounding text, which is what lets every other
+        method memoize it per distinct surface form with byte-identical
         results.
         """
         term = normalize_text(text, casefold=self.lowercase)
@@ -73,14 +143,32 @@ class Analyzer:
             term = self._stemmer.stem(term)
         return term or None
 
+    def _terms(self, raws: list[str]) -> list[str | None]:
+        """The memoized term (or None) of every raw token, in order."""
+        memo = self.memo
+        known = memo.terms
+        fresh: dict[str, str | None] = {}
+        terms: list[str | None] = []
+        append = terms.append
+        for raw in raws:
+            term = known.get(raw, _ABSENT)
+            if term is _ABSENT:
+                term = fresh.get(raw, _ABSENT)
+                if term is _ABSENT:
+                    term = fresh[raw] = self.analyze_token(raw)
+            append(term)
+        memo.record(len(raws), fresh)
+        return terms
+
     def analyze_tokens(self, text: str) -> list[AnalyzedToken]:
         """Analyse ``text``, keeping each term's source token and offsets."""
-        result: list[AnalyzedToken] = []
-        for token in iter_tokens(text):
-            term = self.analyze_token(token.text)
-            if term is not None:
-                result.append(AnalyzedToken(term, token))
-        return result
+        tokens = tokenize(text)
+        terms = self._terms([token.text for token in tokens])
+        return [
+            AnalyzedToken(term, token)
+            for term, token in zip(terms, tokens)
+            if term is not None
+        ]
 
     def analyze(self, text: str) -> list[str]:
         """Analyse ``text`` and return the term sequence.
@@ -88,7 +176,8 @@ class Analyzer:
         >>> Analyzer().analyze("The outbreaks were spreading!")
         ['outbreak', 'spread']
         """
-        return [analyzed.term for analyzed in self.analyze_tokens(text)]
+        terms = self._terms(token_texts(text))
+        return [term for term in terms if term is not None]
 
     def analyze_unique(self, text: str) -> set[str]:
         """Analyse ``text`` and return the set of distinct terms."""
@@ -104,7 +193,7 @@ class Analyzer:
     #: Fields excluded from :meth:`to_config`: runtime-only state and the
     #: stopword set (persisting the full list would bloat every index
     #: file; deployments customising stopwords persist them separately).
-    _NON_CONFIG_FIELDS = ("stopwords", "_stemmer")
+    _NON_CONFIG_FIELDS = ("stopwords", "_stemmer", "memo")
 
     def to_config(self) -> dict:
         """This analyzer's persistable configuration.
@@ -114,8 +203,6 @@ class Analyzer:
         longer silently desync (the bug the hard-coded four-field dict
         in ``index/storage.py`` used to invite).
         """
-        from dataclasses import fields
-
         return {
             spec.name: getattr(self, spec.name)
             for spec in fields(self)
@@ -130,8 +217,6 @@ class Analyzer:
         not load lossily); missing keys fall back to the field defaults,
         so a config written before a field existed still loads.
         """
-        from dataclasses import fields
-
         known = {
             spec.name
             for spec in fields(cls)

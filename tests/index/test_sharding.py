@@ -10,7 +10,6 @@ from repro.index.document import Document
 from repro.index.inverted import InvertedIndex
 from repro.index.searcher import IndexSearcher
 from repro.index.sharding import (
-    AnalysisMemo,
     HashRouter,
     MergedStats,
     RoundRobinRouter,
@@ -22,7 +21,8 @@ from repro.index.similarity import (
     DirichletSimilarity,
     TfIdfSimilarity,
 )
-from repro.text.analyzer import default_analyzer
+from repro.text.analyzer import Analyzer, default_analyzer
+from repro.text.tokenizer import token_texts
 
 QUERY = "virus vaccine hospital market storm"
 
@@ -257,7 +257,7 @@ class TestBulkIngestion:
         index = ShardedIndex.from_documents(corpus[:10], shard_count=2)
         boom = RuntimeError("analysis exploded")
 
-        original = AnalysisMemo.analyze
+        original = Analyzer.analyze
         calls = {"n": 0}
 
         def failing_analyze(self, text):
@@ -266,10 +266,10 @@ class TestBulkIngestion:
                 raise boom
             return original(self, text)
 
-        monkeypatch.setattr(AnalysisMemo, "analyze", failing_analyze)
+        monkeypatch.setattr(Analyzer, "analyze", failing_analyze)
         with pytest.raises(RuntimeError, match="analysis exploded"):
             index.add_documents(corpus[10:30], workers=2)
-        monkeypatch.setattr(AnalysisMemo, "analyze", original)
+        monkeypatch.setattr(Analyzer, "analyze", original)
         assert len(index) == 10
         assert index.doc_ids == [d.doc_id for d in corpus[:10]]
         # The index is still fully usable after the rollback.
@@ -293,15 +293,29 @@ class TestBulkIngestion:
             bulk.add_documents([corpus[0]])
 
 
-class TestAnalysisMemo:
+class TestIngestTokenMemo:
+    """Ingest analyzes through the analyzer's token memo."""
+
     def test_memoized_analysis_is_byte_identical(self, corpus):
         analyzer = default_analyzer()
-        memo = AnalysisMemo(analyzer)
         for document in corpus[:50]:
-            assert memo.analyze(document.body) == analyzer.analyze(document.body)
-        assert len(memo) > 0
+            expected = [
+                term
+                for term in map(analyzer.analyze_token, token_texts(document.body))
+                if term is not None
+            ]
+            assert analyzer.analyze(document.body) == expected  # cold
+            assert analyzer.analyze(document.body) == expected  # warm
+        assert analyzer.memo.stats()["entries"] > 0
 
     def test_filtered_tokens_are_cached_as_none(self):
-        memo = AnalysisMemo(default_analyzer())
-        assert memo.analyze("the the the") == []
-        assert len(memo) == 1
+        analyzer = default_analyzer()
+        assert analyzer.analyze("the the the") == []
+        assert analyzer.memo.terms == {"the": None}
+
+    def test_bulk_ingest_fills_the_index_analyzer_memo(self, corpus):
+        index = ShardedIndex(shard_count=2)
+        index.add_documents(corpus[:20], workers=2)
+        stats = index.analyzer.memo.stats()
+        assert stats["entries"] > 0
+        assert stats["hits"] > 0  # repeated surface forms analyzed once

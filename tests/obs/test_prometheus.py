@@ -25,6 +25,11 @@ PINNED_FAMILIES = [
     "repro_admission_max_queue_depth",
     "repro_admission_rate_burst",
     "repro_admission_rate_limit_per_client",
+    "repro_analyzer_memo_capacity",
+    "repro_analyzer_memo_entries",
+    "repro_analyzer_memo_evictions_total",
+    "repro_analyzer_memo_hits_total",
+    "repro_analyzer_memo_misses_total",
     "repro_cache_hit_rate",
     "repro_circuit_breaker_open",
     "repro_deadline_exceeded_total",
@@ -106,6 +111,13 @@ FULL_SNAPSHOT = {
         "hit_rate": 0.375,
         "evictions": 1,
         "expirations": 2,
+    },
+    "analyzer": {
+        "entries": 120,
+        "capacity": 65536,
+        "hits": 900,
+        "misses": 130,
+        "evictions": 10,
     },
     "cache_hit_rate": 0.375,
     "queue_depth": 1,
@@ -215,6 +227,13 @@ class TestRenderedValues:
         assert "repro_executor_tasks_dispatched_total 11" in full_text
         assert "repro_executor_worker_respawns_total 1" in full_text
         assert "repro_executor_index_snapshots_total 2" in full_text
+
+    def test_analyzer_memo_renders_size_and_counters(self, full_text):
+        assert "repro_analyzer_memo_entries 120" in full_text
+        assert "repro_analyzer_memo_capacity 65536" in full_text
+        assert "repro_analyzer_memo_hits_total 900" in full_text
+        assert "repro_analyzer_memo_misses_total 130" in full_text
+        assert "repro_analyzer_memo_evictions_total 10" in full_text
 
     def test_thread_tier_omits_the_start_method_label(self):
         from repro.service.process import thread_executor_block

@@ -31,6 +31,7 @@ from repro.service.faults import (
 )
 from repro.service.jobs import JobStatus
 from repro.service.scheduler import ExplanationService
+from repro.text.analyzer import default_analyzer
 
 
 def _request(doc_id: str = "d1", **overrides) -> ExplainRequest:
@@ -42,6 +43,7 @@ def _request(doc_id: str = "d1", **overrides) -> ExplainRequest:
 class _StubIndex:
     def __init__(self):
         self.version = 0
+        self.analyzer = default_analyzer()
 
 
 class _StubRanker:

@@ -13,6 +13,7 @@ from repro.core.explain import ExplainRequest, ExplainResponse
 from repro.service.admission import AdmissionController, Priority
 from repro.service.metrics import COUNTER_NAMES, ServiceMetrics
 from repro.service.scheduler import ExplanationService
+from repro.text.analyzer import MEMO_CAPACITY, default_analyzer
 
 EXPECTED_COUNTERS = {
     "jobs_submitted",
@@ -50,6 +51,10 @@ STORE_KEYS = {
     "expirations",
 }
 
+#: The analyzer's token memo (``Analyzer.memo.stats()``), parent
+#: process only.
+ANALYZER_KEYS = {"entries", "capacity", "hits", "misses", "evictions"}
+
 SERVICE_SNAPSHOT_KEYS = {
     "counters",
     "item_latency",
@@ -65,6 +70,7 @@ SERVICE_SNAPSHOT_KEYS = {
     "faults",
     "jobs_tracked",
     "executor",
+    "analyzer",
 }
 
 ADMISSION_KEYS = {
@@ -89,6 +95,7 @@ EXECUTOR_KEYS = {
 class _StubIndex:
     def __init__(self):
         self.version = 0
+        self.analyzer = default_analyzer()
 
 
 class _StubRanker:
@@ -156,6 +163,13 @@ class TestServiceSnapshotSchema:
             assert set(snapshot["counters"]) == EXPECTED_COUNTERS
             assert set(snapshot["store"]) == STORE_KEYS
             assert set(snapshot["admission"]) == ADMISSION_KEYS
+            assert snapshot["analyzer"] == {
+                "entries": 0,
+                "capacity": MEMO_CAPACITY,
+                "hits": 0,
+                "misses": 0,
+                "evictions": 0,
+            }
             assert snapshot["draining"] is False
             assert snapshot["faults"] == {}
             assert snapshot["workers"] == 1

@@ -18,6 +18,7 @@ from repro.errors import ConfigurationError, JobNotFoundError, RankingError
 from repro.index.document import Document
 from repro.service.jobs import JobStatus
 from repro.service.scheduler import ExplanationService
+from repro.text.analyzer import default_analyzer
 
 
 def _request(doc_id: str = "d5", **overrides) -> ExplainRequest:
@@ -29,6 +30,7 @@ def _request(doc_id: str = "d5", **overrides) -> ExplainRequest:
 class _StubIndex:
     def __init__(self):
         self.version = 0
+        self.analyzer = default_analyzer()
 
 
 class _StubRanker:
@@ -37,7 +39,8 @@ class _StubRanker:
 
 class StubEngine:
     """Just enough engine surface for the scheduler: index.version,
-    ranker.name, and a controllable explain()."""
+    index.analyzer (for the metrics snapshot), ranker.name, and a
+    controllable explain()."""
 
     def __init__(self, explain=None):
         self.index = _StubIndex()
@@ -235,6 +238,16 @@ class TestStoreBackedExecution:
 
 
 class TestMetricsSnapshot:
+    def test_repeated_explain_hits_the_analyzer_memo(self, service, engine):
+        request = _request()
+        engine.explain(request)
+        first = service.metrics_snapshot()["analyzer"]
+        engine.explain(request)  # the engine itself: no result store
+        second = service.metrics_snapshot()["analyzer"]
+        assert second["hits"] > first["hits"]
+        assert second["misses"] == first["misses"]
+        assert second["entries"] == first["entries"] <= second["capacity"]
+
     def test_snapshot_shape(self, service):
         service.run_batch([_request(), _request()])
         snapshot = service.metrics_snapshot()

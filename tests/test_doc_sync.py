@@ -190,6 +190,10 @@ REMOVED_SURFACES = (
     'format="v3"',
     "--format v2",
     "shards=None",
+    "AnalysisMemo",
+    "bench_sharded_ingest",
+    "BENCH_sharded_ingest",
+    "SHARDED_INGEST_SMOKE",
 )
 
 

@@ -4,16 +4,22 @@ The example-based text suites pin behaviour on curated sentences; these
 throw arbitrary unicode (hypothesis when installed, seeded random
 otherwise) at the pipeline and assert the structural invariants the
 index and the counterfactual explainers rely on: spans are exact and
-ordered, token analysis is context-free (the memoized-ingest contract),
+ordered, token analysis is context-free (the token-memo contract),
 and analysis distributes over whitespace concatenation.
 """
 
+from unittest import mock
+
 from property_support import given, text
+from repro.text import analyzer as analyzer_module
 from repro.text.analyzer import default_analyzer, surface_analyzer
 from repro.text.tokenizer import token_texts, tokenize
 
 ANALYZER = default_analyzer()
 SURFACE = surface_analyzer()
+
+#: Twenty distinct tokens: enough to force evictions from a tiny memo.
+WARMUP = " ".join(f"filler{i}" for i in range(20))
 
 
 class TestTokenizerProperties:
@@ -57,9 +63,9 @@ class TestAnalyzerProperties:
 
     @given(sample=text(max_size=200))
     def test_token_analysis_is_context_free(self, sample):
-        # Bulk ingestion memoizes analyze_token per surface form
-        # (AnalysisMemo); that is only sound if a token's analysis never
-        # depends on surrounding text.
+        # The analyzer memoizes analyze_token per surface form; that is
+        # only sound if a token's analysis never depends on surrounding
+        # text.
         expected = [
             term
             for term in (
@@ -94,3 +100,17 @@ class TestAnalyzerProperties:
     def test_analyzed_offsets_point_at_source_tokens(self, sample):
         for analyzed in ANALYZER.analyze_tokens(sample):
             assert sample[analyzed.start:analyzed.end] == analyzed.token.text
+
+    @given(warmup=text(max_size=200), sample=text(max_size=200))
+    def test_evicting_memo_matches_a_fresh_analyzer(self, warmup, sample):
+        # A warm memo that has evicted entries must analyze exactly like
+        # an analyzer that never saw a token before.
+        with mock.patch.object(analyzer_module, "MEMO_CAPACITY", 4):
+            warm = default_analyzer()
+        for seen in (sample, WARMUP, warmup, sample):
+            warm.analyze(seen)
+        assert warm.memo.stats()["evictions"] > 0
+        assert warm.analyze(sample) == default_analyzer().analyze(sample)
+        assert warm.analyze_tokens(sample) == (
+            default_analyzer().analyze_tokens(sample)
+        )
