@@ -1,21 +1,22 @@
-"""Process tier vs thread tier — escaping the GIL where cores exist.
+"""Process tier vs thread tier for CPU-bound explain batches.
 
 The thread tier's wins are architectural (result-store hits, overlapped
 bookkeeping); on a standard GIL build it cannot scale *compute*. The
 process tier exists exactly for that: worker processes attach the v3
-packed index via mmap and compute explanations truly in parallel. Two
-workloads pin the contract:
+packed index via mmap and compute explanations truly in parallel. One
+workload pins the contract:
 
 * **CPU-bound explain_batch** — distinct (never-cached) requests, so
   throughput is pure compute. Thread tier is expected flat; the process
   tier targets **≥ 2× at 4 workers** — *when 4 cores exist*.
-* **Bulk ingest** — a high-vocabulary synthetic corpus (near-zero
-  analysis-memo hit rate, so the analysis cost is real), thread workers
-  vs ``executor="process"`` offloaded analysis.
+
+Ingest is not measured here: it has one serial path
+(``add_documents`` analyzes, then places), so there is no tier to
+compare.
 
 **Core-count honesty.** Multi-process speedup is physics, not software:
 on a box with one usable core (``len(os.sched_getaffinity(0)) == 1``)
-no executor can beat sequential compute, so the scaling floors are
+no executor can beat sequential compute, so the scaling floor is
 asserted only when ≥ 4 cores are available. Byte-identical results are
 asserted unconditionally — correctness never depends on the machine.
 The checked-in JSON records the cores the numbers were measured on.
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import time
 from pathlib import Path
 
@@ -37,9 +37,6 @@ from repro.core.engine import CredenceEngine, EngineConfig
 from repro.core.explain import ExplainRequest
 from repro.datasets.covid import DEMO_QUERY, covid_corpus
 from repro.eval.reporting import Table
-from repro.index.document import Document
-from repro.index.inverted import InvertedIndex
-from repro.index.sharding import ShardedIndex
 
 CORES = len(os.sched_getaffinity(0))
 SMOKE = os.environ.get("PROC_SMOKE") == "1"
@@ -48,7 +45,6 @@ SCALING_EXPECTED = CORES >= 4 and not SMOKE
 WORKERS = 4
 K = 10
 MIN_EXPLAIN_SPEEDUP = 2.0  # process vs thread tier, CPU-bound batch
-INGEST_DOCS = 600 if SMOKE else 12_000
 JSON_PATH = Path(__file__).with_name("BENCH_process_tier.json")
 
 STRATEGIES = (
@@ -184,95 +180,5 @@ def test_process_tier_explain_batch(capsys):
                 "target_asserted": SCALING_EXPECTED,
                 "equivalence": "all three paths byte-identical "
                 "(elapsed_seconds excluded)",
-            },
-        )
-
-
-def _ingest_corpus(count: int) -> list[Document]:
-    """High-vocabulary synthetic corpus: ~4k distinct surface forms,
-    bodies effectively unique, so the per-ingest analysis memo cannot
-    trivialise the analysis cost the way the covid filler corpus does
-    (76 unique terms)."""
-    rng = random.Random(11)
-    vocab = [f"w{index:05d}" for index in range(4_000)]
-    return [
-        Document(f"doc-{index:06d}", " ".join(rng.choices(vocab, k=40)))
-        for index in range(count)
-    ]
-
-
-def test_process_tier_ingest(capsys):
-    documents = _ingest_corpus(INGEST_DOCS)
-
-    def timed(builder) -> tuple[float, object]:
-        start = time.perf_counter()
-        index = builder()
-        return time.perf_counter() - start, index
-
-    thread1_seconds, thread1 = timed(
-        lambda: ShardedIndex.from_documents(documents, 4, workers=1)
-    )
-    process_seconds, processed = timed(
-        lambda: ShardedIndex.from_documents(
-            documents, 4, workers=WORKERS, executor="process"
-        )
-    )
-    def build_plain() -> InvertedIndex:
-        index = InvertedIndex()
-        index.add_documents(documents, workers=WORKERS, executor="process")
-        return index
-
-    plain_seconds, plain = timed(build_plain)
-    assert plain.stats() == thread1.stats()
-
-    # Byte-identical corpora regardless of tier.
-    assert processed.stats() == thread1.stats()
-    assert processed.doc_ids == thread1.doc_ids
-    assert processed.export_snapshot() == thread1.export_snapshot()
-
-    speedup = thread1_seconds / process_seconds
-    table = Table(
-        ["path", "docs", "total s", "docs/s", "speedup"],
-        title=(
-            f"high-vocabulary ingest: thread vs process analysis "
-            f"({CORES} cores)"
-        ),
-    )
-    table.add("sharded, workers=1 (thread)", INGEST_DOCS,
-              f"{thread1_seconds:.2f}",
-              f"{INGEST_DOCS / thread1_seconds:.0f}", "-")
-    table.add(f"sharded, workers={WORKERS} (process)", INGEST_DOCS,
-              f"{process_seconds:.2f}",
-              f"{INGEST_DOCS / process_seconds:.0f}", f"{speedup:.2f}x")
-    with capsys.disabled():
-        print()
-        print(table.render())
-
-    if SCALING_EXPECTED:
-        assert speedup > 1.0, (
-            f"process ingest {speedup:.2f}x must beat one thread worker "
-            f"with {CORES} cores on a GIL build"
-        )
-    else:
-        assert process_seconds < thread1_seconds * 10, (
-            "process ingest overhead is out of hand"
-        )
-
-    if not SMOKE:
-        _update_json(
-            "ingest",
-            {
-                "documents": INGEST_DOCS,
-                "generator": "bench_process_tier._ingest_corpus(seed=11)",
-                "unique_terms": thread1.stats().unique_terms,
-                "shards": 4,
-                "workers": WORKERS,
-                "thread_workers_1_seconds": round(thread1_seconds, 3),
-                "process_workers_4_seconds": round(process_seconds, 3),
-                "plain_index_process_seconds": round(plain_seconds, 3),
-                "speedup_vs_thread_1": round(speedup, 2),
-                "target_asserted": SCALING_EXPECTED,
-                "equivalence": "stats, doc order, and full export_snapshot "
-                "asserted identical across tiers",
             },
         )

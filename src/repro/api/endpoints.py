@@ -9,7 +9,7 @@ UI calls. Every explanation family goes through ``POST /explanations``
 ``GET  /strategies``                  explanation-strategy introspection
 ``GET  /index``                       corpus layout (shards, router, storage)
 ``POST /index/save``                  persist the corpus index to disk
-``POST /index/documents``             bulk-ingest documents (parallel shards)
+``POST /index/documents``             bulk-ingest documents (all-or-nothing)
 ``DELETE /index/documents/{doc_id}``  remove a document from the corpus
 ``GET  /documents/{doc_id}``          fetch a document body for display
 ``POST /rank``                        the Explanations/Builder rank button
@@ -246,11 +246,11 @@ def register_endpoints(
 
     @router.post("/index/documents")
     def ingest_documents(request: Request):
-        documents, workers = parse_index_ingest(
+        documents = parse_index_ingest(
             request.body, max_items=max_ingest_items
         )
         try:
-            added = engine.add_documents(documents, workers=workers)
+            added = engine.add_documents(documents)
         except ReadOnlyIndexError as error:  # replica / packed view
             raise BadRequestError(str(error)) from None
         except ValueError as error:  # duplicate ids

@@ -233,26 +233,20 @@ def parse_request_priority(
 #: :func:`repro.api.endpoints.register_endpoints`.
 MAX_INGEST_ITEMS = 1000
 
-#: Ceiling on the per-request ingest worker count.
-MAX_INGEST_WORKERS = 32
 
-
-def parse_index_ingest(
-    body: Any, max_items: int | None = None
-) -> tuple[list, int | None]:
-    """Parse ``POST /index/documents``: documents plus optional workers.
+def parse_index_ingest(body: Any, max_items: int | None = None) -> list:
+    """Parse ``POST /index/documents``: the documents to add.
 
     Body shape: ``{"documents": [{"doc_id", "body", "title"?,
-    "metadata"?}, ...], "workers"?: N}``. Returns the parsed
-    :class:`~repro.index.document.Document` list and the worker count
-    (None = serial). Oversized batches and malformed documents are a
-    clean 400.
+    "metadata"?}, ...]}``. Returns the parsed
+    :class:`~repro.index.document.Document` list. Unknown fields,
+    oversized batches and malformed documents are a clean 400.
     """
     from repro.index.document import Document
 
     cap = MAX_INGEST_ITEMS if max_items is None else max_items
     data = _require_mapping(body)
-    unknown = set(data) - {"documents", "workers"}
+    unknown = set(data) - {"documents"}
     if unknown:
         raise BadRequestError(
             f"unknown field(s): {', '.join(sorted(unknown))}"
@@ -277,8 +271,7 @@ def parse_index_ingest(
                 f"document {position}: 'body' must be a non-empty string"
             )
         documents.append(Document.from_dict(item))
-    workers = _optional_int_field(data, "workers", maximum=MAX_INGEST_WORKERS)
-    return documents, workers
+    return documents
 
 
 def parse_index_save(body: Any) -> str:

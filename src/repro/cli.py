@@ -22,7 +22,7 @@ bundled demo corpus). Every explanation family runs through one
     python -m repro.cli rank --corpus my_docs.jsonl --ranker bm25 \
         --query "anything"
     python -m repro.cli index --corpus my_docs.jsonl --shards 4 \
-        --workers 4 --save my_index.idx            # packed v3
+        --save my_index.idx                        # packed v3
     python -m repro.cli serve --replica my_index.idx --port 8092
 
 Async jobs against a *running* service (``serve``) go through the
@@ -362,11 +362,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
     )
     start = time.perf_counter()
     index = ShardedIndex.from_documents(
-        documents,
-        args.shards,
-        router=build_router(args.router, args.shards),
-        workers=args.workers,
-        executor=args.executor,
+        documents, args.shards, router=build_router(args.router, args.shards)
     )
     elapsed = time.perf_counter() - start
     if args.save:
@@ -380,8 +376,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
         "shards": args.shards,
         "router": index.router.name,
         "shard_documents": index.shard_sizes(),
-        "workers": args.workers,
-        "executor": args.executor or "thread",
         "ingest_seconds": round(elapsed, 4),
         "saved_to": args.save,
         "format": "v3" if args.save else None,
@@ -781,19 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="shard count (default 1, a one-shard index)",
-    )
-    index_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallel ingest workers, one per shard at most (default serial)",
-    )
-    index_cmd.add_argument(
-        "--executor",
-        default=None,
-        choices=("thread", "process"),
-        help="ingest tier: worker threads (default; overlap only on "
-        "free-threaded builds) or worker processes (GIL-free analysis)",
     )
     index_cmd.add_argument(
         "--router",

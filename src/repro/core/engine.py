@@ -62,8 +62,6 @@ class EngineConfig:
             :class:`~repro.index.sharding.ShardedIndex` the engine builds
             (default 1, a plain corpus) — scores and explanations are
             byte-identical for any count.
-        ingest_workers: worker threads for the bulk ingestion, one per
-            shard at most (``None`` ingests serially).
     """
 
     ranker: str = "neural"
@@ -76,7 +74,6 @@ class EngineConfig:
     cache_scores: bool = True
     seed: int = 13
     shards: int = 1
-    ingest_workers: int | None = None
 
     def __post_init__(self):
         if self.ranker not in RANKER_CHOICES:
@@ -91,10 +88,6 @@ class EngineConfig:
             raise ConfigurationError(
                 f"shards must be an integer ≥ 1, got {self.shards!r}"
             )
-        if self.ingest_workers is not None and self.ingest_workers < 1:
-            raise ConfigurationError(
-                f"ingest_workers must be ≥ 1, got {self.ingest_workers}"
-            )
 
 
 class CredenceEngine:
@@ -102,9 +95,8 @@ class CredenceEngine:
 
     ``documents`` are ingested into a
     :class:`~repro.index.sharding.ShardedIndex` of ``config.shards``
-    segments through its memoized bulk ingest (``config.ingest_workers``
-    threads); :meth:`from_index` and :meth:`load` wrap an index that
-    already exists instead.
+    segments through its bulk ingest; :meth:`from_index` and
+    :meth:`load` wrap an index that already exists instead.
 
     Ranker precedence: an explicitly passed ``ranker`` object always
     wins. When both ``config`` and ``ranker`` are given, the config's
@@ -138,9 +130,7 @@ class CredenceEngine:
         else:
             require(bool(documents), "documents must be non-empty")
             self.index = ShardedIndex.from_documents(
-                documents,
-                self.config.shards,
-                workers=self.config.ingest_workers,
+                documents, self.config.shards
             )
         #: True when the ranker is derived purely from ``EngineConfig``.
         #: The process tier requires this: worker processes rebuild the
@@ -285,27 +275,16 @@ class CredenceEngine:
 
     # -- corpus management --------------------------------------------------------
 
-    def add_documents(
-        self,
-        documents: Iterable[Document],
-        workers: int | None = None,
-        executor: str | None = None,
-    ) -> int:
+    def add_documents(self, documents: Iterable[Document]) -> int:
         """Bulk-add documents to the corpus; returns the number added.
 
-        Shards ingest in parallel when ``workers`` is set (a one-shard
-        corpus ingests serially). ``executor="process"``
-        offloads document *analysis* (the CPU-bound part of ingest) to
-        worker processes, escaping the GIL on standard builds — the
-        resulting index is byte-identical to a serial ingest. Either way
-        the index's mutation ``version`` advances, so every
-        version-keyed cache (collection views, the service result store)
-        invalidates automatically. Duplicate ids raise ``ValueError``
-        before anything mutates.
+        The index analyzes the batch, then places it in input order,
+        all-or-nothing. The index's mutation ``version`` advances, so
+        every version-keyed cache (collection views, the service result
+        store) invalidates automatically. Duplicate ids raise
+        ``ValueError`` before anything mutates.
         """
-        return self.index.add_documents(
-            documents, workers=workers, executor=executor
-        )
+        return self.index.add_documents(documents)
 
     def remove_document(self, doc_id: str) -> Document:
         """Remove a document from the corpus; returns it. Raises if absent."""
@@ -376,11 +355,11 @@ class CredenceEngine:
         aborting the batch.
 
         ``workers`` and ``executor`` mean what they mean on
-        :meth:`add_documents` and :func:`repro.api.app.serve`. With both
-        ``None`` the batch runs in this thread. Otherwise it fans out
-        across the engine's :meth:`service` pool (``workers`` sizes it
-        on first use; repeated requests hit the service's result store),
-        on the ``executor`` tier when one is named: ``"thread"`` or
+        :func:`repro.api.app.serve`. With both ``None`` the batch runs in
+        this thread. Otherwise it fans out across the engine's
+        :meth:`service` pool (``workers`` sizes it on first use;
+        repeated requests hit the service's result store), on the
+        ``executor`` tier when one is named: ``"thread"`` or
         ``"process"``, which dispatches items to worker processes that
         attach the v3 packed index via mmap and rebuild the ranker from
         :class:`EngineConfig`. Results are byte-identical to the

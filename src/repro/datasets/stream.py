@@ -15,10 +15,11 @@ path:
   otherwise, keeping every benchmark offline-safe;
 * :func:`stream_ingest` — chunked bulk ingestion of any document
   iterable into an :class:`~repro.index.inverted.InvertedIndex` or
-  :class:`~repro.index.sharding.ShardedIndex`, recording wall-clock,
-  throughput, and resident-set numbers (:class:`IngestReport`) so the
-  "peak RSS bounded" claim in ``BENCH_large_eval.json`` is measured,
-  not asserted.
+  :class:`~repro.index.sharding.ShardedIndex` through the index's one
+  serial ``add_documents`` path, recording wall-clock, throughput, and
+  resident-set numbers (:class:`IngestReport`) so the "peak RSS
+  bounded" claim in ``BENCH_large_eval.json`` is measured, not
+  asserted.
 
 Determinism: for a fixed seed and generator parameters the document
 stream is byte-identical run to run and independent of how consumers
@@ -377,29 +378,21 @@ def stream_ingest(
     documents: Iterable[Document],
     *,
     chunk_size: int = 5_000,
-    workers: int | None = None,
-    executor: str | None = None,
     progress: Callable[[int, IngestReport | None], None] | None = None,
 ) -> IngestReport:
     """Bulk-ingest a document stream into ``index`` chunk by chunk.
 
     Only one chunk is ever materialised: the stream is sliced into
     ``chunk_size``-document batches and each batch goes through the
-    index's all-or-nothing ``add_documents`` (``workers``/``executor``
-    forwarded for sharded/process-tier ingest), so corpus size is
-    bounded by the index, not the loader. ``progress`` (if given) is
-    called with the running document count after every chunk.
+    index's all-or-nothing ``add_documents``, so corpus size is bounded
+    by the index, not the loader. ``progress`` (if given) is called with
+    the running document count after every chunk.
 
     Returns an :class:`IngestReport` with wall-clock, throughput, and
     resident-set-size measurements.
     """
     require_positive(chunk_size, "chunk_size")
     rss_before = _current_rss_mb()
-    kwargs: dict = {}
-    if workers is not None:
-        kwargs["workers"] = workers
-    if executor is not None:
-        kwargs["executor"] = executor
     iterator = iter(documents)
     total = 0
     chunks = 0
@@ -408,7 +401,7 @@ def stream_ingest(
         chunk = list(itertools.islice(iterator, chunk_size))
         if not chunk:
             break
-        index.add_documents(chunk, **kwargs)
+        index.add_documents(chunk)
         total += len(chunk)
         chunks += 1
         if progress is not None:

@@ -79,21 +79,19 @@ class InvertedIndex:
         cls, documents: Iterable[Document], analyzer: Analyzer | None = None
     ) -> "InvertedIndex":
         index = cls(analyzer)
-        for document in documents:
-            index.add(document)
+        index.add_documents(documents)
         return index
 
     def add(self, document: Document) -> None:
         """Index ``document``; raises ``ValueError`` on duplicate ids."""
-        self.add_analyzed(document, self.analyzer.analyze(document.body))
+        self.add_documents((document,))
 
     def add_analyzed(self, document: Document, terms: list[str]) -> None:
         """Index ``document`` from an already-analyzed term sequence.
 
         ``terms`` must be exactly ``self.analyzer.analyze(document.body)``;
         callers that analyze up front (bulk ingestion, the sharded
-        backend, the process-tier analysis pool) use this to avoid
-        re-analyzing inside the index.
+        backend) use this to avoid re-analyzing inside the index.
         """
         positions: dict[str, list[int]] = {}
         for position, term in enumerate(terms):
@@ -146,32 +144,21 @@ class InvertedIndex:
             self.add(document)
             return previous
 
-    def add_documents(
-        self,
-        documents: Iterable[Document],
-        workers: int | None = None,
-        executor: str | None = None,
-    ) -> int:
+    def add_documents(self, documents: Iterable[Document]) -> int:
         """Bulk-add ``documents``; returns the number added.
 
-        Interface parity with
-        :meth:`~repro.index.sharding.ShardedIndex.add_documents`: a
-        single-shard index builds its postings serially (``workers``
-        alone cannot help — there is only one shard), analyzing each
-        body with ``analyzer.analyze``, whose memo analyzes each
-        distinct surface form once. ``executor="process"`` offloads the
-        analysis step to ``workers`` worker processes (byte-identical
-        output, computed off the GIL). Duplicate ids (against the index
-        or within the batch) raise ``ValueError`` before anything
-        mutates.
+        The same path as
+        :meth:`~repro.index.sharding.ShardedIndex.add_documents`: every
+        body is analyzed through ``self.analyzer`` before the lock is
+        taken; under the lock, duplicate ids (against the index or within
+        the batch) raise ``ValueError`` and the batch is placed in input
+        order. All-or-nothing: a failure in analysis or the duplicate
+        check leaves the index untouched.
         """
-        from repro.index.sharding import analyze_in_processes
-
-        if executor not in (None, "thread", "process"):
-            raise ValueError(
-                f'executor must be "thread" or "process", got {executor!r}'
-            )
         documents = list(documents)
+        analyzed = [
+            self.analyzer.analyze(document.body) for document in documents
+        ]
         with self._lock:
             seen: set[str] = set()
             for document in documents:
@@ -180,17 +167,8 @@ class InvertedIndex:
                         f"duplicate document id: {document.doc_id!r}"
                     )
                 seen.add(document.doc_id)
-            if executor == "process" and documents:
-                precomputed = analyze_in_processes(
-                    self.analyzer, documents, workers
-                )
-                for document, terms in zip(documents, precomputed):
-                    self.add_analyzed(document, terms)
-            else:
-                for document in documents:
-                    self.add_analyzed(
-                        document, self.analyzer.analyze(document.body)
-                    )
+            for document, terms in zip(documents, analyzed):
+                self.add_analyzed(document, terms)
         return len(documents)
 
     # -- lookups -------------------------------------------------------------

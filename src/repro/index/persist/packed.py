@@ -63,7 +63,7 @@ class _ReadOnlyMutations:
     def add_analyzed(self, document, terms) -> None:
         raise ReadOnlyIndexError("add a document")
 
-    def add_documents(self, documents, workers=None, executor=None) -> int:
+    def add_documents(self, documents) -> int:
         raise ReadOnlyIndexError("add documents")
 
     def remove(self, doc_id: str):

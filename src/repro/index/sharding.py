@@ -18,14 +18,12 @@ one shard. Correctness hinges on two merged views:
   order-dependent tie-break — ranked retrieval, ``Ranking.from_scores``,
   Doc2Vec training order — is preserved exactly.
 
-Bulk ingestion (:meth:`ShardedIndex.add_documents`) partitions the batch
-by shard and ingests the partitions on a transient per-call thread
-pool. Every task analyzes through the shared analyzer, whose memo
-analyzes each distinct surface form once on every path, so bulk ingest
-and the per-document loop do the same analysis work; on free-threaded
-builds the per-shard workers also scale with cores. Ingestion is
-all-or-nothing: a failing batch is rolled back before the error
-propagates.
+Ingestion has one path, :meth:`ShardedIndex.add_documents`: analyze
+every body through the shared analyzer (whose memo analyzes each
+distinct surface form once) outside the corpus lock, then, under the
+lock, reject duplicate ids and route and place the batch in input
+order. Nothing is routed or mutated until every document has analyzed,
+so a failing batch leaves the index, router cursor included, as it was.
 """
 
 from __future__ import annotations
@@ -272,31 +270,6 @@ class MergedPostings:
         return any(doc_id in part for part in self._parts)
 
 
-def analyze_in_processes(analyzer, documents, workers: int | None) -> list:
-    """Analyze document bodies in worker processes; returns per-document
-    term lists in input order.
-
-    The GIL-escape path for bulk ingest: bodies are split into
-    contiguous chunks (one per worker) and each worker runs
-    ``analyzer.analyze`` on an analyzer rebuilt from the identical
-    configuration — so the output is byte-identical to local analysis,
-    only computed on other cores.
-    """
-    # Lazy, call-scoped import: the process pool lives in the service
-    # layer; importing it at module load would cycle the layering.
-    from repro.service.process import analysis_pool
-
-    worker_count = max(1, min(workers or 1, len(documents)))
-    chunk = -(-len(documents) // worker_count)  # ceil division
-    partitions = [
-        [document.body for document in documents[start:start + chunk]]
-        for start in range(0, len(documents), chunk)
-    ]
-    with analysis_pool(analyzer, len(partitions)) as pool:
-        buckets = pool.analyze_partitions(partitions)
-    return [terms for bucket in buckets for terms in bucket]
-
-
 class ShardedIndex:
     """N inverted-index shards behind the single-index surface.
 
@@ -308,9 +281,8 @@ class ShardedIndex:
     ``tests/index/test_sharded_equivalence.py``).
 
     Thread safety matches the single index: a reentrant lock guards the
-    assignment table, the merged statistics, and multi-step reads; each
-    shard additionally carries its own lock, which is what lets bulk
-    ingestion write shards concurrently.
+    assignment table, the router, the merged statistics, and multi-step
+    reads; each shard additionally carries its own lock.
     """
 
     def __init__(
@@ -347,11 +319,9 @@ class ShardedIndex:
         shard_count: int = 2,
         analyzer: Analyzer | None = None,
         router: ShardRouter | None = None,
-        workers: int | None = None,
-        executor: str | None = None,
     ) -> "ShardedIndex":
         index = cls(shard_count, analyzer, router)
-        index.add_documents(documents, workers=workers, executor=executor)
+        index.add_documents(documents)
         return index
 
     @classmethod
@@ -410,14 +380,7 @@ class ShardedIndex:
 
     def add(self, document: Document) -> None:
         """Route and index ``document``; raises ``ValueError`` on duplicates."""
-        terms = self.analyzer.analyze(document.body)
-        with self._lock:
-            if document.doc_id in self._assignments:
-                raise ValueError(
-                    f"duplicate document id: {document.doc_id!r}"
-                )
-            self._add_routed(document, terms, self.router.route(document.doc_id))
-            self._version += 1
+        self.add_documents((document,))
 
     def _add_routed(self, document: Document, terms: list[str], shard: int) -> None:
         """Place an analyzed document on an explicit shard (lock held)."""
@@ -454,39 +417,21 @@ class ShardedIndex:
             self._version += 1
             return previous
 
-    def add_documents(
-        self,
-        documents: Iterable[Document],
-        workers: int | None = None,
-        executor: str | None = None,
-    ) -> int:
-        """Bulk-ingest ``documents`` in parallel; returns the number added.
+    def add_documents(self, documents: Iterable[Document]) -> int:
+        """Bulk-ingest ``documents``; returns the number added.
 
-        The batch is partitioned by the router, each shard's partition is
-        ingested by one task on a transient thread pool (``workers``
-        caps it; None/1 ingests serially), and all tasks analyze through
-        ``self.analyzer``, whose memo they share. Merged statistics and
-        the global insertion order are replayed in input order
-        afterwards, so the result is byte-identical to adding the
-        documents one at a time.
-
-        ``executor="process"`` routes the analysis step — tokenize,
-        stopword, stem; the CPU-bound bulk of ingest — through
-        :func:`analyze_in_processes` (``workers`` sizes that pool too),
-        escaping the GIL on standard builds; the per-shard posting
-        builds then run on the thread tier with the precomputed terms.
-
-        All-or-nothing: duplicate ids fail before anything mutates, and
-        an ingest error rolls the already-indexed batch documents back
-        out of their shards before propagating.
+        Every body is analyzed through ``self.analyzer`` before the
+        corpus lock is taken. Under the lock, duplicate ids (against the
+        index or within the batch) raise ``ValueError``, then the batch
+        is routed and placed in input order, so the result is
+        byte-identical to adding the documents one at a time.
+        All-or-nothing: a failure in analysis or the duplicate check
+        leaves the index and the router cursor untouched.
         """
-        if executor not in (None, "thread", "process"):
-            raise ValueError(
-                f'executor must be "thread" or "process", got {executor!r}'
-            )
         documents = list(documents)
-        if not documents:
-            return 0
+        analyzed = [
+            self.analyzer.analyze(document.body) for document in documents
+        ]
         with self._lock:
             seen: set[str] = set()
             for document in documents:
@@ -495,82 +440,12 @@ class ShardedIndex:
                         f"duplicate document id: {document.doc_id!r}"
                     )
                 seen.add(document.doc_id)
-            precomputed = (
-                analyze_in_processes(self.analyzer, documents, workers)
-                if executor == "process"
-                else None
-            )
-            placements = [
-                (document, self.router.route(document.doc_id))
-                for document in documents
-            ]
-            partitions: list[list[tuple[int, Document]]] = [
-                [] for _ in self.shards
-            ]
-            for position, (document, shard) in enumerate(placements):
-                partitions[shard].append((position, document))
-            analyzed: list[list[str] | None] = [None] * len(documents)
-
-            def ingest(shard_position: int) -> None:
-                shard = self.shards[shard_position]
-                for position, document in partitions[shard_position]:
-                    terms = (
-                        precomputed[position]
-                        if precomputed is not None
-                        else self.analyzer.analyze(document.body)
-                    )
-                    shard.add_analyzed(document, terms)
-                    analyzed[position] = terms
-
-            errors = self._run_partitions(ingest, workers)
-            if errors:
-                # Roll the partial batch back out before propagating.
-                for position, (document, shard) in enumerate(placements):
-                    if analyzed[position] is not None:
-                        self.shards[shard].remove(document.doc_id)
-                raise errors[0]
-            for position, (document, shard) in enumerate(placements):
-                self._assignments[document.doc_id] = shard
-                self._merged.add_document(analyzed[position])
+            for document, terms in zip(documents, analyzed):
+                self._add_routed(
+                    document, terms, self.router.route(document.doc_id)
+                )
             self._version += len(documents)
         return len(documents)
-
-    def _run_partitions(
-        self, ingest, workers: int | None
-    ) -> list[Exception]:
-        """Run ``ingest(shard)`` for every shard, optionally in parallel.
-
-        Parallel runs use a transient per-call executor, *deliberately*
-        not the engine's live explanation pool: ``add_documents`` holds
-        the corpus lock while waiting, and explanation tasks block on
-        that same lock — sharing one pool would let queued ingest tasks
-        starve behind blocked explanation tasks (a deadlock). A
-        transient executor of ≤ shard_count threads costs microseconds
-        against a bulk ingest.
-        """
-        worker_count = min(workers or 1, self.shard_count)
-        if worker_count <= 1:
-            errors: list[Exception] = []
-            for shard_position in range(self.shard_count):
-                try:
-                    ingest(shard_position)
-                except Exception as error:  # noqa: BLE001 - rolled back by caller
-                    errors.append(error)
-            return errors
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(
-            max_workers=worker_count, thread_name_prefix="ingest"
-        ) as pool:
-            futures = [
-                pool.submit(ingest, shard_position)
-                for shard_position in range(self.shard_count)
-            ]
-        return [
-            error
-            for error in (future.exception() for future in futures)
-            if error is not None
-        ]
 
     # -- lookups --------------------------------------------------------------
 

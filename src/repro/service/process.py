@@ -38,6 +38,10 @@ drain-before-exit — stays in the parent:
 Byte-identical equivalence with the sequential path is pinned by the
 parallel-equivalence suite across every ranker × explainer × search
 strategy; this module must never trade that for speed.
+
+Explain is the only work the tier runs. Ingest stays in the calling
+process: analysis is a minor share of it once the analyzer's token memo
+is warm, so a process fan-out for it does not pay for its pipes.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ from repro.obs.trace import (
 from repro.obs.trace import span as obs_span
 from repro.service.faults import NO_FAULTS, SITE_PROCESS, FaultInjector
 from repro.service.workers import DEFAULT_WORKERS
-from repro.utils.validation import require, require_positive
+from repro.utils.validation import require_positive
 
 logger = logging.getLogger(__name__)
 
@@ -173,20 +177,12 @@ class WorkerSpec:
 
     Compact and picklable by construction: under ``spawn`` this is the
     only state that reaches the child, so a spec that round-trips
-    guarantees the pool is spawn-safe. Exactly one of ``index_path``
-    (explain workers: attach + rebuild an engine) or ``analyzer_config``
-    (ingest workers: build an analyzer) is set.
+    guarantees the pool is spawn-safe. The worker attaches the v3 index
+    at ``index_path`` and rebuilds its engine from ``engine_config``.
     """
 
-    index_path: str | None = None
+    index_path: str
     engine_config: object | None = None  # EngineConfig; picklable dataclass
-    analyzer_config: dict | None = None
-
-    def __post_init__(self):
-        require(
-            (self.index_path is None) != (self.analyzer_config is None),
-            "WorkerSpec needs exactly one of index_path or analyzer_config",
-        )
 
 
 def _worker_main(spec: WorkerSpec, conn) -> None:
@@ -199,19 +195,12 @@ def _worker_main(spec: WorkerSpec, conn) -> None:
     with contextlib.suppress(ValueError, OSError):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        engine = None
-        if spec.index_path is not None:
-            from repro.core.engine import CredenceEngine
+        from repro.core.engine import CredenceEngine
 
-            engine = CredenceEngine.load(
-                spec.index_path, config=spec.engine_config
-            )
-            analyzer = engine.index.analyzer
-        else:
-            from repro.text.analyzer import Analyzer
-
-            analyzer = Analyzer.from_config(spec.analyzer_config)
-        conn.send(("ready", None if engine is None else engine.index.version))
+        engine = CredenceEngine.load(
+            spec.index_path, config=spec.engine_config
+        )
+        conn.send(("ready", engine.index.version))
     except Exception as error:  # noqa: BLE001 - report any init failure
         with contextlib.suppress(OSError, BrokenPipeError):
             conn.send(("init_error", f"{type(error).__name__}: {error}"))
@@ -230,10 +219,6 @@ def _worker_main(spec: WorkerSpec, conn) -> None:
         try:
             if op == "explain":
                 reply = _remote_explain(engine, message[1], message[2])
-            elif op == "analyze":
-                reply = (
-                    "ok", [analyzer.analyze(body) for body in message[1]], None
-                )
             elif op == "ping":
                 reply = ("ok", "pong", None)
             else:
@@ -540,39 +525,6 @@ class ProcessWorkerPool:
             raise rehydrate_repro_error(payload)
         raise RemoteWorkerError(payload)
 
-    def analyze(self, bodies: list) -> list:
-        """Analyze document bodies remotely; returns per-body term lists.
-
-        Byte-identical to local analysis: the worker runs
-        :meth:`~repro.text.analyzer.Analyzer.analyze`, memoized per
-        surface form, on an analyzer rebuilt from the identical
-        configuration.
-        """
-        status, payload, _ = self.call(("analyze", list(bodies)))
-        if status == "ok":
-            return payload
-        raise RemoteWorkerError(payload)
-
-    def analyze_partitions(self, partitions: list) -> list:
-        """Analyze several body lists concurrently, one lease per chunk.
-
-        The pipes block per lease, so transient threads drive them — the
-        CPU work happens in the worker processes, which is where the
-        GIL escape comes from.
-        """
-        if not partitions:
-            return []
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(
-            max_workers=len(partitions),
-            thread_name_prefix=f"{self.name}-feeder",
-        ) as feeders:
-            futures = [
-                feeders.submit(self.analyze, bodies) for bodies in partitions
-            ]
-            return [future.result() for future in futures]
-
     # -- introspection --------------------------------------------------------
 
     def stats(self) -> dict:
@@ -582,27 +534,6 @@ class ProcessWorkerPool:
                 "worker_respawns": self.worker_respawns,
                 "live_workers": self._live,
             }
-
-
-@contextlib.contextmanager
-def analysis_pool(
-    analyzer, workers: int, start_method: str | None = None
-):
-    """A transient ingest pool whose workers hold only an analyzer.
-
-    Used by ``add_documents(executor="process")``: bulk ingest is a
-    bounded operation, so the pool lives exactly as long as the call.
-    """
-    pool = ProcessWorkerPool(
-        WorkerSpec(analyzer_config=analyzer.to_config()),
-        workers=workers,
-        start_method=start_method,
-        name="ingest",
-    )
-    try:
-        yield pool
-    finally:
-        pool.shutdown()
 
 
 class ProcessExecutor:

@@ -216,7 +216,6 @@ class TestIndexManagement:
                     {"doc_id": "ingest-2", "body": "markets rallied today",
                      "title": "Markets"},
                 ],
-                "workers": 2,
             },
         )
         assert response.status == 201
@@ -254,13 +253,13 @@ class TestIndexManagement:
             ).status
             == 400
         )
-        assert (
-            client.post(
-                "/index/documents",
-                {"documents": [{"doc_id": "a", "body": "x"}], "workers": 0},
-            ).status
-            == 400
+        # Ingest takes no worker count: "workers" is an unknown field.
+        response = client.post(
+            "/index/documents",
+            {"documents": [{"doc_id": "a", "body": "x"}], "workers": 2},
         )
+        assert response.status == 400
+        assert "unknown field(s): workers" in response.payload["detail"]
 
     def test_remove_unknown_is_404(self, fresh_client):
         client, _ = fresh_client

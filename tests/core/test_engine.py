@@ -29,6 +29,11 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="shards"):
             EngineConfig(ranker="bm25", shards=shards)
 
+    def test_ingest_workers_is_gone(self):
+        # Ingest has one serial path; there is no ingest fan-out knob.
+        with pytest.raises(TypeError, match="ingest_workers"):
+            EngineConfig(ranker="bm25", ingest_workers=2)
+
 
 class TestConstruction:
     def test_empty_corpus_rejected(self):

@@ -59,12 +59,8 @@ def _live_engine(ranker: str, shards: int | None) -> CredenceEngine:
             InvertedIndex.from_documents(_corpus()),
             EngineConfig(ranker=ranker, seed=5),
         )
-    if shards == 1:
-        # The default configuration: one shard, serial ingest.
-        return CredenceEngine(_corpus(), EngineConfig(ranker=ranker, seed=5))
     return CredenceEngine(
-        _corpus(),
-        EngineConfig(ranker=ranker, seed=5, shards=shards, ingest_workers=2),
+        _corpus(), EngineConfig(ranker=ranker, seed=5, shards=shards)
     )
 
 
@@ -143,7 +139,7 @@ class TestLtrEquivalence:
         # LTR priors ride in document metadata, so build the live index
         # over the prior-annotated corpus before persisting it.
         if shards:
-            index = ShardedIndex.from_documents(corpus, shards, workers=2)
+            index = ShardedIndex.from_documents(corpus, shards)
         else:
             index = InvertedIndex.from_documents(corpus)
         path = tmp_path / "ltr.idx"

@@ -566,26 +566,19 @@ class TestReadOnlyContract:
         with pytest.raises(ReadOnlyIndexError):
             packed.add_documents([extra])
         with pytest.raises(ReadOnlyIndexError):
-            packed.add_documents([extra], workers=2, executor="thread")
-        with pytest.raises(ReadOnlyIndexError):
             packed.remove("doc-a")
         with pytest.raises(ReadOnlyIndexError):
             packed.replace(extra)
         # ReadOnlyIndexError is a ReproError, so service layers catch it.
         assert issubclass(ReadOnlyIndexError, ReproError)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_engine_ingest_into_packed_index_is_read_only(
-        self, tmp_path, executor
-    ):
+    def test_engine_ingest_into_packed_index_is_read_only(self, tmp_path):
         path = tmp_path / "corpus.idx"
         save_v3(_index(), path)
         engine = CredenceEngine.load(path, config=EngineConfig(ranker="bm25"))
         try:
             with pytest.raises(ReadOnlyIndexError):
-                engine.add_documents(
-                    [Document("doc-z", "new text")], executor=executor
-                )
+                engine.add_documents([Document("doc-z", "new text")])
         finally:
             engine.index.close()
 

@@ -48,8 +48,7 @@ def _engine(ranker: str, shards: int | None) -> CredenceEngine:
             EngineConfig(ranker=ranker, seed=5),
         )
     return CredenceEngine(
-        _corpus(),
-        EngineConfig(ranker=ranker, seed=5, shards=shards, ingest_workers=2),
+        _corpus(), EngineConfig(ranker=ranker, seed=5, shards=shards)
     )
 
 
@@ -123,7 +122,7 @@ class TestLtrEquivalence:
         reference = self._explain(InvertedIndex.from_documents(corpus), model)
         for shards in (1, 4):
             sharded = self._explain(
-                ShardedIndex.from_documents(corpus, shards, workers=2), model
+                ShardedIndex.from_documents(corpus, shards), model
             )
             assert sharded == reference
 

@@ -2,6 +2,9 @@
 and surface parity with a single inverted index. Persistence of
 placements and router state is covered in ``test_persist_format.py``."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import ConfigurationError, DocumentNotFoundError
@@ -39,7 +42,7 @@ def single(corpus):
 
 @pytest.fixture(scope="module")
 def sharded(corpus):
-    return ShardedIndex.from_documents(corpus, shard_count=4, workers=2)
+    return ShardedIndex.from_documents(corpus, shard_count=4)
 
 
 class TestRouters:
@@ -227,18 +230,32 @@ class TestMutation:
         assert index.version > version
 
 
+def _analysis_failing_on(call: int):
+    """An ``Analyzer.analyze`` that raises on its ``call``-th call."""
+    original = Analyzer.analyze
+    calls = {"n": 0}
+
+    def analyze(self, text):
+        calls["n"] += 1
+        if calls["n"] == call:
+            raise RuntimeError("analysis exploded")
+        return original(self, text)
+
+    return analyze
+
+
 class TestBulkIngestion:
-    def test_parallel_matches_serial_and_incremental(self, corpus):
-        one_by_one = ShardedIndex(shard_count=4)
+    @pytest.mark.parametrize(
+        "router", [HashRouter, RoundRobinRouter], ids=["hash", "round-robin"]
+    )
+    def test_bulk_matches_one_by_one(self, corpus, router):
+        one_by_one = ShardedIndex(shard_count=4, router=router(4))
         for document in corpus:
             one_by_one.add(document)
-        serial = ShardedIndex.from_documents(corpus, shard_count=4, workers=None)
-        parallel = ShardedIndex.from_documents(corpus, shard_count=4, workers=4)
-        for built in (serial, parallel):
-            assert built.doc_ids == one_by_one.doc_ids
-            assert list(built.terms()) == list(one_by_one.terms())
-            assert built.stats() == one_by_one.stats()
-            assert built.shard_sizes() == one_by_one.shard_sizes()
+        bulk = ShardedIndex.from_documents(
+            corpus, shard_count=4, router=router(4)
+        )
+        assert bulk.export_snapshot() == one_by_one.export_snapshot()
 
     def test_duplicate_in_batch_fails_before_mutation(self, corpus):
         index = ShardedIndex(shard_count=2)
@@ -253,28 +270,54 @@ class TestBulkIngestion:
             index.add_documents([corpus[10], corpus[2]])
         assert len(index) == 5
 
-    def test_failing_batch_rolls_back(self, corpus, monkeypatch):
-        index = ShardedIndex.from_documents(corpus[:10], shard_count=2)
-        boom = RuntimeError("analysis exploded")
-
-        original = Analyzer.analyze
-        calls = {"n": 0}
-
-        def failing_analyze(self, text):
-            calls["n"] += 1
-            if calls["n"] > 3:
-                raise boom
-            return original(self, text)
-
-        monkeypatch.setattr(Analyzer, "analyze", failing_analyze)
-        with pytest.raises(RuntimeError, match="analysis exploded"):
-            index.add_documents(corpus[10:30], workers=2)
-        monkeypatch.setattr(Analyzer, "analyze", original)
-        assert len(index) == 10
-        assert index.doc_ids == [d.doc_id for d in corpus[:10]]
-        # The index is still fully usable after the rollback.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            InvertedIndex.from_documents,
+            lambda documents: ShardedIndex.from_documents(documents, 2),
+        ],
+        ids=["inverted", "sharded"],
+    )
+    def test_failing_batch_rolls_back(self, corpus, monkeypatch, build):
+        index = build(corpus[:10])
+        before = index.export_snapshot()
+        with monkeypatch.context() as patch:
+            patch.setattr(Analyzer, "analyze", _analysis_failing_on(4))
+            with pytest.raises(RuntimeError, match="analysis exploded"):
+                index.add_documents(corpus[10:30])
+        assert index.export_snapshot() == before
+        assert index.version == before.version
+        # The index is still fully usable after the failed batch.
         index.add_documents(corpus[10:30])
         assert len(index) == 30
+
+    def test_failed_batch_leaves_the_round_robin_cursor(
+        self, corpus, monkeypatch
+    ):
+        def build() -> ShardedIndex:
+            return ShardedIndex.from_documents(
+                corpus[:4], shard_count=3, router=RoundRobinRouter(3)
+            )
+
+        batch = corpus[4:9]
+        reference = build()
+        reference.add_documents(batch)
+
+        index = build()
+        before = index.export_snapshot()
+        with monkeypatch.context() as patch:
+            patch.setattr(Analyzer, "analyze", _analysis_failing_on(3))
+            with pytest.raises(RuntimeError, match="analysis exploded"):
+                index.add_documents(batch)
+        assert index.export_snapshot() == before
+
+        index.add_documents(batch)  # the retry
+        assert index.router.cursor == reference.router.cursor == 0
+        assert (
+            index.export_snapshot().placements
+            == reference.export_snapshot().placements
+        )
+        assert index.shard_sizes() == reference.shard_sizes() == [3, 3, 3]
 
     def test_empty_batch_is_a_noop(self):
         index = ShardedIndex(shard_count=2)
@@ -283,7 +326,9 @@ class TestBulkIngestion:
         assert index.version == version
 
     def test_single_index_bulk_matches_loop(self, corpus):
-        loop = InvertedIndex.from_documents(corpus)
+        loop = InvertedIndex()
+        for document in corpus:
+            loop.add(document)
         bulk = InvertedIndex()
         assert bulk.add_documents(corpus) == len(corpus)
         assert loop.doc_ids == bulk.doc_ids
@@ -315,7 +360,75 @@ class TestIngestTokenMemo:
 
     def test_bulk_ingest_fills_the_index_analyzer_memo(self, corpus):
         index = ShardedIndex(shard_count=2)
-        index.add_documents(corpus[:20], workers=2)
+        index.add_documents(corpus[:20])
         stats = index.analyzer.memo.stats()
         assert stats["entries"] > 0
         assert stats["hits"] > 0  # repeated surface forms analyzed once
+
+
+class TestConcurrentIngest:
+    """Analysis runs outside the corpus lock; placement stays serial."""
+
+    THREADS = 6  # more threads than cores
+    ROUNDS = 20  # each round is a fresh race; one round takes ~25 ms
+
+    def test_racing_batches_build_one_consistent_corpus(self):
+        documents = synthetic_corpus(self.THREADS * 8 + 3, seed=11)
+        own = [
+            documents[position * 8:(position + 1) * 8]
+            for position in range(self.THREADS)
+        ]
+        shared = documents[self.THREADS * 8:]
+        serial = ShardedIndex.from_documents(
+            documents, shard_count=3, router=RoundRobinRouter(3)
+        )
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(self.ROUNDS):
+                self._race(own, shared, serial)
+        finally:
+            sys.setswitchinterval(previous)
+
+    def _race(self, own, shared, serial) -> None:
+        index = ShardedIndex(shard_count=3, router=RoundRobinRouter(3))
+        barrier = threading.Barrier(self.THREADS, timeout=30)
+        outcomes: list = [None] * self.THREADS
+
+        def ingest(position: int) -> None:
+            barrier.wait()
+            if position % 2:
+                index.add_documents(own[position])
+            try:
+                index.add_documents(shared)
+                outcomes[position] = "accepted"
+            except ValueError as error:
+                outcomes[position] = error
+            if not position % 2:
+                index.add_documents(own[position])
+
+        threads = [
+            threading.Thread(target=ingest, args=(position,))
+            for position in range(self.THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+
+        assert outcomes.count("accepted") == 1
+        refused = [outcome for outcome in outcomes if outcome != "accepted"]
+        assert len(refused) == self.THREADS - 1
+        for error in refused:
+            assert isinstance(error, ValueError)
+            assert "duplicate document id" in str(error)
+        assert len(index) == len(serial)
+        assert index.stats() == serial.stats()
+        assert sorted(index.doc_ids) == sorted(serial.doc_ids)
+        # (term, df, cf) per term: a lost merged-stats update shows here.
+        assert sorted(index.export_snapshot().merged_terms) == sorted(
+            serial.export_snapshot().merged_terms
+        )
+        sizes = index.shard_sizes()
+        assert max(sizes) - min(sizes) <= 1

@@ -16,17 +16,16 @@ import pytest
 from repro.core.engine import CredenceEngine, EngineConfig
 from repro.core.explain import ExplainRequest
 from repro.errors import ConfigurationError, PoolShutdownError, RankingError
+from repro.index.storage import save_index
 from repro.service.process import (
     ProcessExecutor,
     ProcessWorkerPool,
     RemoteReproError,
     WorkerSpec,
     rehydrate_repro_error,
-    analysis_pool,
     default_start_method,
     thread_executor_block,
 )
-from repro.text.analyzer import default_analyzer
 from tests.core.test_search_equivalence import _corpus
 
 requires_fork = pytest.mark.skipif(
@@ -51,13 +50,15 @@ def _engine() -> CredenceEngine:
     return CredenceEngine(_corpus(), EngineConfig(ranker="bm25", seed=5))
 
 
-class TestWorkerSpec:
-    def test_exactly_one_payload_required(self):
-        with pytest.raises(ConfigurationError):
-            WorkerSpec()
-        with pytest.raises(ConfigurationError):
-            WorkerSpec(index_path="x", analyzer_config={"lowercase": True})
+@pytest.fixture(scope="module")
+def explain_spec(tmp_path_factory) -> WorkerSpec:
+    """An explain worker recipe: a saved v3 index of the test corpus."""
+    path = tmp_path_factory.mktemp("pool") / "corpus.idx"
+    save_index(_engine().index, path)
+    return WorkerSpec(str(path), EngineConfig(ranker="bm25", seed=5))
 
+
+class TestWorkerSpec:
     def test_spec_is_picklable(self):
         import pickle
 
@@ -70,78 +71,58 @@ class TestWorkerSpec:
     def test_default_start_method_is_available(self):
         assert default_start_method() in multiprocessing.get_all_start_methods()
 
-    def test_unknown_start_method_rejected(self):
+    def test_unknown_start_method_rejected(self, explain_spec):
         with pytest.raises(ConfigurationError, match="not available"):
-            ProcessWorkerPool(
-                WorkerSpec(analyzer_config=default_analyzer().to_config()),
-                workers=1,
-                start_method="teleport",
-            )
+            ProcessWorkerPool(explain_spec, workers=1, start_method="teleport")
+
+
+PONG = ("ok", "pong", None)
 
 
 @requires_fork
-class TestAnalysisPool:
-    def test_remote_analysis_matches_local(self):
-        analyzer = default_analyzer()
-        bodies = [doc.body for doc in _corpus()[:6]]
-        with analysis_pool(analyzer, workers=2) as pool:
-            remote = pool.analyze(bodies)
-        assert remote == [analyzer.analyze(body) for body in bodies]
-
-    def test_partitions_preserve_order(self):
-        analyzer = default_analyzer()
-        bodies = [doc.body for doc in _corpus()[:6]]
-        chunks = [bodies[:2], bodies[2:4], bodies[4:]]
-        with analysis_pool(analyzer, workers=2) as pool:
-            results = pool.analyze_partitions(chunks)
-        flattened = [terms for chunk in results for terms in chunk]
-        assert flattened == [analyzer.analyze(body) for body in bodies]
-
-    def test_workers_initialize_once_across_dispatches(self):
-        analyzer = default_analyzer()
-        with analysis_pool(analyzer, workers=2) as pool:
-            pool.analyze(["warm up the pool"])
+class TestPoolMechanics:
+    def test_workers_initialize_once_across_dispatches(self, explain_spec):
+        with ProcessWorkerPool(explain_spec, workers=2) as pool:
+            assert pool.call(("ping",)) == PONG
             pids = sorted(w.process.pid for w in pool._workers)
             for _ in range(5):
-                pool.analyze(["one more body"])
+                assert pool.call(("ping",)) == PONG
             assert sorted(w.process.pid for w in pool._workers) == pids
             assert pool.stats()["tasks_dispatched"] == 6
 
-    def test_unknown_op_is_a_fault_not_a_death(self):
-        analyzer = default_analyzer()
-        with analysis_pool(analyzer, workers=1) as pool:
+    def test_unknown_op_is_a_fault_not_a_death(self, explain_spec):
+        with ProcessWorkerPool(explain_spec, workers=1) as pool:
             status, payload, _ = pool.call(("sing", []))
             assert status == "fault"
             assert "unknown worker op" in payload
             # the same worker still serves the next task
-            assert pool.analyze(["still alive"]) == [
-                analyzer.analyze("still alive")
-            ]
+            assert pool.call(("ping",)) == PONG
             assert pool.stats()["worker_respawns"] == 0
 
-    def test_dispatch_after_shutdown_raises(self):
-        pool = ProcessWorkerPool(
-            WorkerSpec(analyzer_config=default_analyzer().to_config()),
-            workers=1,
-        )
-        pool.analyze(["x"])
+    def test_dispatch_after_shutdown_raises(self, explain_spec):
+        pool = ProcessWorkerPool(explain_spec, workers=1)
+        assert pool.call(("ping",)) == PONG
         pool.shutdown()
         with pytest.raises(PoolShutdownError):
-            pool.analyze(["y"])
+            pool.call(("ping",))
 
 
 @requires_spawn
 class TestSpawnSafety:
     """The spec-built worker must behave identically under ``spawn``."""
 
-    def test_spawned_analysis_matches_local(self):
-        analyzer = default_analyzer()
-        bodies = [doc.body for doc in _corpus()[:3]]
-        with analysis_pool(analyzer, workers=1, start_method="spawn") as pool:
+    def test_spawned_explain_matches_local(self, explain_spec):
+        engine = _engine()
+        target = engine.rank(QUERY, 5).doc_ids[0]
+        request = ExplainRequest(QUERY, target, k=5)
+        with ProcessWorkerPool(
+            explain_spec, workers=1, start_method="spawn"
+        ) as pool:
             assert pool.start_method == "spawn"
-            assert pool.analyze(bodies) == [
-                analyzer.analyze(body) for body in bodies
-            ]
+            remote = pool.explain(request)
+        assert _strip(remote.to_dict()) == _strip(
+            engine.explain(request).to_dict()
+        )
 
 
 @requires_fork

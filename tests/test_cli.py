@@ -238,7 +238,6 @@ class TestIndexCommand:
                 "index",
                 "--corpus", str(corpus),
                 "--shards", "2",
-                "--workers", "2",
                 "--save", str(out_path),
                 "--json",
             ]

@@ -1,8 +1,8 @@
 """CLI coverage for the persistence surface.
 
-``index --save`` (always v3), the removed ``--format``/``compact``
-surface, and the exit-2 contract for corrupt index files. All
-in-process through ``main([...])``.
+``index --save`` (always v3), the removed ``--format``/``compact`` and
+``index --workers/--executor`` surface, and the exit-2 contract for
+corrupt index files. All in-process through ``main([...])``.
 """
 
 import json
@@ -48,9 +48,7 @@ class TestIndexSaveFormats:
 
     def test_sharded_v3_save(self, capsys, tmp_path, tiny_docs):
         out_path = tmp_path / "built.idx"
-        code = _build(
-            tmp_path, tiny_docs, out_path, "--shards", "2", "--workers", "2"
-        )
+        code = _build(tmp_path, tiny_docs, out_path, "--shards", "2")
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["shards"] == 2
@@ -70,6 +68,15 @@ class TestRemovedSurfaces:
     def test_compact_command_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["compact", str(tmp_path / "a.idx"), str(tmp_path / "b.idx")])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag", [("--workers", "2"), ("--executor", "process")],
+        ids=["workers", "executor"],
+    )
+    def test_ingest_fan_out_flags_are_gone(self, tmp_path, tiny_docs, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            _build(tmp_path, tiny_docs, tmp_path / "x.idx", *flag)
         assert excinfo.value.code == 2
 
 

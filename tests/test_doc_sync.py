@@ -162,9 +162,10 @@ def test_docs_cover_the_eval_harness(name):
 
 #: Surfaces that were removed: the explain surfaces folded into
 #: ``engine.explain``, ``POST /explanations`` and ``explain --strategy``,
-#: and the JSON index formats, ``repro compact`` and ``shards=None``
-#: (v3 is the only format; every corpus is a ``ShardedIndex``). No
-#: document or example may name them again.
+#: the JSON index formats, ``repro compact`` and ``shards=None`` (v3 is
+#: the only format; every corpus is a ``ShardedIndex``), and the thread
+#: and process ingest fan-outs (ingest has one serial path). No document
+#: or example may name them again.
 REMOVED_SURFACES = (
     "explain_document(",
     "explain_query(",
@@ -194,6 +195,11 @@ REMOVED_SURFACES = (
     "bench_sharded_ingest",
     "BENCH_sharded_ingest",
     "SHARDED_INGEST_SMOKE",
+    "ingest_workers",
+    "analyze_in_processes",
+    "analysis_pool",
+    "analyze_partitions",
+    "MAX_INGEST_WORKERS",
 )
 
 
