@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo gate: the tier-1 test suite plus the benchmark smokes, the
-# coverage floor and the quickstart smoke.
+# coverage floor, the examples over real HTTP and the quickstart smoke.
 #
 # Tier-1 runs once, with DeprecationWarning as an error so no
 # deprecated shim can come back. The smokes assert what the suite does
@@ -50,6 +50,12 @@ EVAL_SMOKE=1 python -m pytest -q benchmarks/bench_large_eval.py
 echo
 echo "== coverage floor: eval + datasets layers (ratcheted) =="
 python scripts/coverage_floor.py
+
+echo
+echo "== smoke: examples over real HTTP (kept-alive HttpClient) =="
+python examples/serve_api.py > /dev/null
+python examples/serve_jobs.py > /dev/null
+echo "examples over HTTP: ok"
 
 echo
 echo "== docs: quickstart smoke on a tiny corpus =="

@@ -2,7 +2,9 @@
 
 :class:`InProcessClient` dispatches through a :class:`Router` without a
 socket — the integration-test workhorse. :class:`HttpClient` speaks real
-HTTP (urllib) to a running :class:`~repro.api.http.ApiServer`.
+HTTP to a running :class:`~repro.api.http.ApiServer` over one kept-alive
+``http.client`` connection per calling thread, so a sequence of calls
+pays for one TCP connection, not one each.
 
 Both understand the serving-hardening surface: request headers
 (``X-Client-Id``), the NDJSON streaming route (:meth:`post_stream`),
@@ -11,18 +13,21 @@ with jitter on 429/503 responses and connection failures, honouring the
 server's ``Retry-After`` header. Retries default to **idempotent
 methods only** (GET/DELETE): a timed-out POST may have executed, and
 replaying it is the caller's decision (``retry_non_idempotent=True``),
-not the transport's.
+not the transport's. Below the policy, a kept-alive connection that the
+server has closed while idle is replaced once, transparently: it failed
+before any response byte, so the server never read the request.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
+from urllib.parse import urlsplit
 
 from repro.api.http import HttpResponse, Request, Router, StreamingResponse
 
@@ -164,8 +169,18 @@ class InProcessClient:
 class HttpClient:
     """A tiny JSON HTTP client for a live server, with bounded retries.
 
+    Each calling thread keeps one ``http.client`` connection alive across
+    :meth:`get`, :meth:`post`, :meth:`delete` and :meth:`post_stream`
+    (``HTTPSConnection`` for an ``https://`` base URL; a path prefix in
+    the base URL is kept). When a *reused* connection fails before any
+    response byte arrives — the server closed it while idle — the request
+    goes once more on a fresh connection; a failure on a fresh connection
+    is the :class:`RetryPolicy`'s to handle. Any other error closes the
+    thread's connection.
+
     ``transport``, ``sleep`` and ``rng`` are injectable so the retry
-    loop is deterministic under test; the default transport is urllib.
+    loop is deterministic under test; the default transport is the
+    kept-alive connection.
     """
 
     def __init__(
@@ -183,6 +198,97 @@ class HttpClient:
         self._sleep = sleep
         self._rng = rng
         self._transport = transport if transport is not None else self._send
+        self._url = urlsplit(self.base_url)
+        if self._url.scheme not in ("http", "https"):
+            raise ValueError(f"unsupported URL scheme in {base_url!r}")
+        self._idle = threading.local()
+
+    def _connect(self) -> http.client.HTTPConnection:
+        """A new, not yet opened connection to the server."""
+        connection_class = (
+            http.client.HTTPSConnection
+            if self._url.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        return connection_class(
+            self._url.hostname, self._url.port, timeout=self.timeout
+        )
+
+    def _put_back(self, connection: http.client.HTTPConnection) -> None:
+        """Keep ``connection`` as this thread's idle one, or close it
+        when a call made during a stream already filled the slot."""
+        if getattr(self._idle, "connection", None) is None:
+            self._idle.connection = connection
+        else:
+            connection.close()
+
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        body: Any,
+        headers: dict[str, str] | None,
+        accept: str,
+    ) -> tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+        """Send one request and read the response head.
+
+        The caller reads the body and then hands the connection back
+        with :meth:`_put_back`, or closes it.
+        """
+        request_headers = {"Accept": accept, **(headers or {})}
+        data = None
+        if body is not None:
+            data = json.dumps(body).encode("utf-8")
+            request_headers["Content-Type"] = "application/json"
+        # Take this thread's idle connection; while a stream holds it,
+        # the slot is empty and this request opens its own.
+        connection = getattr(self._idle, "connection", None) or self._connect()
+        self._idle.connection = None
+        while True:
+            reused = connection.sock is not None
+            try:
+                connection.request(
+                    method, self._url.path + path, data, request_headers
+                )
+                return connection, connection.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                # How a connection the server closed while idle fails:
+                # the request could not be sent, or the connection ended
+                # before any response byte (``RemoteDisconnected`` is a
+                # ``ConnectionResetError``).
+                connection.close()
+                if not reused:
+                    raise
+                # the next pass opens a fresh socket, so this runs once
+            except BaseException:
+                connection.close()
+                raise
+
+    def _finish(
+        self,
+        connection: http.client.HTTPConnection,
+        raw: http.client.HTTPResponse,
+    ) -> HttpResponse:
+        """Read the rest of ``raw`` and hand ``connection`` back."""
+        try:
+            text = raw.read().decode("utf-8")
+        except BaseException:
+            connection.close()
+            raise
+        self._put_back(connection)
+        # Non-JSON bodies (Prometheus exposition) come back as the raw
+        # string payload.
+        content_type = raw.getheader("Content-Type", "")
+        payload = (
+            json.loads(text)
+            if content_type.startswith("application/json")
+            else text
+        )
+        return HttpResponse(
+            raw.status,
+            payload,
+            headers={k.lower(): v for k, v in raw.getheaders()},
+        )
 
     def _send(
         self,
@@ -192,41 +298,10 @@ class HttpClient:
         headers: dict[str, str] | None = None,
     ) -> HttpResponse:
         """One HTTP exchange; 4xx/5xx come back as responses, transport
-        failures raise (``URLError``/``OSError``)."""
-        url = f"{self.base_url}{path}"
-        data = None
-        request_headers = {"Accept": "application/json", **(headers or {})}
-        if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            request_headers["Content-Type"] = "application/json"
-        http_request = urllib.request.Request(
-            url, data=data, headers=request_headers, method=method
+        failures raise (``OSError`` or ``http.client.HTTPException``)."""
+        return self._finish(
+            *self._exchange(method, path, body, headers, "application/json")
         )
-        try:
-            with urllib.request.urlopen(
-                http_request, timeout=self.timeout
-            ) as raw:
-                text = raw.read().decode("utf-8")
-                content_type = raw.headers.get("Content-Type", "")
-                # Non-JSON bodies (Prometheus exposition) come back as
-                # the raw string payload.
-                payload = (
-                    json.loads(text)
-                    if content_type.startswith("application/json")
-                    else text
-                )
-                return HttpResponse(
-                    raw.status,
-                    payload,
-                    headers={k.lower(): v for k, v in raw.headers.items()},
-                )
-        except urllib.error.HTTPError as error:
-            payload = json.loads(error.read().decode("utf-8"))
-            return HttpResponse(
-                error.code,
-                payload,
-                headers={k.lower(): v for k, v in error.headers.items()},
-            )
 
     def _request(
         self,
@@ -243,7 +318,7 @@ class HttpClient:
             try:
                 response = self._transport(method, path, body, headers)
                 last_error = None
-            except (urllib.error.URLError, ConnectionError, OSError) as error:
+            except (OSError, http.client.HTTPException) as error:
                 # Connection-level failure: nothing reached the server
                 # (or the reply was lost) — retryable for idempotent
                 # methods only.
@@ -292,33 +367,34 @@ class HttpClient:
         headers: dict[str, str] | None = None,
     ) -> Iterator[dict]:
         """POST to a streaming route; yields NDJSON chunks as they
-        arrive (urllib decodes the chunked framing; lines arrive as the
-        server flushes them). Never retried — a stream is not idempotent
-        once partially consumed. A pre-stream refusal is yielded as one
-        ``{"event": "rejected", ...}`` chunk.
+        arrive (``http.client`` decodes the chunked framing; lines arrive
+        as the server sends them). Never retried by the policy — a
+        stream is not idempotent once partially consumed. A pre-stream
+        refusal is yielded as one ``{"event": "rejected", ...}`` chunk.
+
+        The stream holds this thread's connection until it is exhausted
+        (a call made meanwhile opens its own); closing the generator
+        early closes the connection.
         """
-        url = f"{self.base_url}{path}"
-        data = None
-        request_headers = {"Accept": "application/x-ndjson", **(headers or {})}
-        if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            request_headers["Content-Type"] = "application/json"
-        http_request = urllib.request.Request(
-            url, data=data, headers=request_headers, method="POST"
+        connection, raw = self._exchange(
+            "POST", path, body, headers, "application/x-ndjson"
         )
-        try:
-            with urllib.request.urlopen(
-                http_request, timeout=self.timeout
-            ) as raw:
-                for line in raw:
-                    line = line.strip()
-                    if line:
-                        yield json.loads(line)
-        except urllib.error.HTTPError as error:
-            payload = json.loads(error.read().decode("utf-8"))
+        if not 200 <= raw.status < 300:
+            refusal = self._finish(connection, raw)
+            payload = refusal.payload
             yield {
                 "event": "rejected",
-                "status": error.code,
-                "headers": {k.lower(): v for k, v in error.headers.items()},
+                "status": refusal.status,
+                "headers": refusal.headers,
                 **(payload if isinstance(payload, dict) else {}),
             }
+            return
+        try:
+            for line in raw:
+                line = line.strip()
+                if line:
+                    yield json.loads(line)
+        except BaseException:
+            connection.close()
+            raise
+        self._put_back(connection)

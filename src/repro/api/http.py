@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -208,16 +209,58 @@ class Router:
 #: hundred bytes; anything near this is abuse, not traffic.
 MAX_BODY_BYTES = 1_048_576
 
+#: ASCII digits only (``int()`` also takes signs, spaces, underscores and
+#: other scripts' digits), and few enough that ``int()`` cannot refuse.
+_CONTENT_LENGTH_RE = re.compile(r"[0-9]{1,18}")
+
+#: Seconds a connection may sit idle (or stall mid-request) before the
+#: server closes it and frees its handler thread; uvicorn's keep-alive
+#: default.
+IDLE_TIMEOUT_SECONDS = 5.0
+
 
 class _JsonRequestHandler(BaseHTTPRequestHandler):
-    """Adapts :class:`BaseHTTPRequestHandler` to the router."""
+    """Adapts :class:`BaseHTTPRequestHandler` to the router.
+
+    Connections are kept alive (HTTP/1.1) with Nagle off, and every
+    response leaves in one write: a body written after its headers would
+    otherwise wait behind the client's delayed ACK (RFC 896, RFC 1122
+    §4.2.3.2), about 40 ms per request on a kept-alive connection.
+    """
 
     router: Router  # set by server factory
     max_body_bytes: int = MAX_BODY_BYTES  # set by server factory
+    timeout: float = IDLE_TIMEOUT_SECONDS  # set by server factory
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # silence default stderr logging
         pass
+
+    def parse_request(self) -> bool:
+        if self.server.closing:
+            # Read after stop() began: close unanswered, as if the
+            # server had closed first (Linux still delivers bytes that
+            # arrive after a read-side shutdown).
+            self.close_connection = True
+            return False
+        return super().parse_request()
+
+    def _write_head(
+        self, status: int, headers: Iterable[tuple[str, str]], body: bytes = b""
+    ) -> None:
+        """Send the status line, ``headers`` and ``body`` in one write.
+
+        ``send_header`` only buffers; ``end_headers`` would flush the
+        head on its own, so the blank line is appended here instead.
+        """
+        self.send_response(status)
+        for name, value in headers:
+            self.send_header(name, value)
+        self._headers_buffer.append(b"\r\n")
+        head = b"".join(self._headers_buffer)
+        self._headers_buffer = []
+        self.wfile.write(head + body)
 
     def _respond(self, response: HttpResponse | TextResponse) -> None:
         if isinstance(response, TextResponse):
@@ -228,39 +271,39 @@ class _JsonRequestHandler(BaseHTTPRequestHandler):
                 "utf-8"
             )
             content_type = "application/json; charset=utf-8"
-        self.send_response(response.status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in response.headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        headers = [
+            ("Content-Type", content_type),
+            ("Content-Length", str(len(body))),
+        ]
+        self._write_head(
+            response.status, [*headers, *response.headers.items()], body
+        )
 
     def _respond_stream(self, response: StreamingResponse) -> None:
         """Write an NDJSON stream with manual chunked framing.
 
         ``BaseHTTPRequestHandler`` never chunk-encodes on its own, so
         each JSON line is framed by hand (size in hex, CRLF, data,
-        CRLF; zero-size chunk terminates) and flushed immediately — the
+        CRLF; zero-size chunk terminates) and sent immediately — the
         client sees progress as it happens, not when the response ends.
-        A producer error after headers have gone out cannot become a
-        status code any more, so it is emitted as a final error chunk.
+        Each chunk leaves in one write, and the socket is unbuffered, so
+        nothing needs flushing. A producer error after headers have gone
+        out cannot become a status code any more, so it is emitted as a
+        final error chunk.
         """
-        self.send_response(response.status)
-        self.send_header("Content-Type", "application/x-ndjson; charset=utf-8")
-        self.send_header("Transfer-Encoding", "chunked")
-        for name, value in response.headers.items():
-            self.send_header(name, value)
-        self.end_headers()
+        headers = [
+            ("Content-Type", "application/x-ndjson; charset=utf-8"),
+            ("Transfer-Encoding", "chunked"),
+        ]
+        self._write_head(
+            response.status, [*headers, *response.headers.items()]
+        )
 
         def write_chunk(payload: Any) -> None:
             line = (
                 json.dumps(payload, ensure_ascii=False).encode("utf-8") + b"\n"
             )
-            self.wfile.write(f"{len(line):X}\r\n".encode("ascii"))
-            self.wfile.write(line)
-            self.wfile.write(b"\r\n")
-            self.wfile.flush()
+            self.wfile.write(b"%X\r\n%s\r\n" % (len(line), line))
 
         try:
             try:
@@ -271,7 +314,6 @@ class _JsonRequestHandler(BaseHTTPRequestHandler):
                     {"error": {"type": type(error).__name__, "message": str(error)}}
                 )
             self.wfile.write(b"0\r\n\r\n")
-            self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away mid-stream; nothing left to tell it
 
@@ -281,7 +323,26 @@ class _JsonRequestHandler(BaseHTTPRequestHandler):
             key: values[0] for key, values in parse_qs(parsed.query).items()
         }
         body = None
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        chunked = "Transfer-Encoding" in self.headers
+        if chunked or not _CONTENT_LENGTH_RE.fullmatch(declared):
+            # Where the body ends is unknown, so the next request cannot
+            # be found on this connection: refuse, and close it.
+            error = BadRequestError(
+                "chunked request bodies are not accepted"
+                if chunked
+                else f"Content-Length must be a non-negative integer, "
+                f"got {declared!r}"
+            )
+            self._respond(
+                HttpResponse(
+                    error.status_code,
+                    error.to_payload(),
+                    headers={"Connection": "close"},
+                )
+            )
+            return
+        length = int(declared)
         if length > self.max_body_bytes:
             # Drain the body in bounded chunks (never buffering it) so
             # the client finishes its send and sees a clean 400 rather
@@ -302,7 +363,7 @@ class _JsonRequestHandler(BaseHTTPRequestHandler):
             raw = self.rfile.read(length)
             try:
                 body = json.loads(raw)
-            except json.JSONDecodeError:
+            except ValueError:  # bad JSON, or bytes that are not text
                 error = BadRequestError("request body is not valid JSON")
                 self._respond(HttpResponse(error.status_code, error.to_payload()))
                 return
@@ -329,8 +390,52 @@ class _JsonRequestHandler(BaseHTTPRequestHandler):
         self._handle("DELETE")
 
 
+class _ConnectionTrackingServer(ThreadingHTTPServer):
+    """A :class:`ThreadingHTTPServer` that ends its open connections on
+    close.
+
+    Handler threads are daemons that ``server_close`` never joins, so
+    without this a kept-alive connection would go on being served after
+    the server stopped.
+    """
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self.closing = False
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        self.closing = True
+        super().server_close()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            # Shutting down the read side wakes a handler waiting for the
+            # next request (it reads EOF and closes the connection) but
+            # still lets a request in flight write its response.
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # its handler closed it first
+
+
 class ApiServer:
-    """A threading HTTP server bound to a :class:`Router`."""
+    """A threading HTTP server bound to a :class:`Router`.
+
+    :meth:`stop` also ends every kept-alive connection: an idle one is
+    closed at once, one with a request in flight after its response.
+    """
 
     def __init__(
         self,
@@ -342,9 +447,13 @@ class ApiServer:
         handler = type(
             "BoundHandler",
             (_JsonRequestHandler,),
-            {"router": router, "max_body_bytes": max_body_bytes},
+            {
+                "router": router,
+                "max_body_bytes": max_body_bytes,
+                "timeout": IDLE_TIMEOUT_SECONDS,
+            },
         )
-        self._server = ThreadingHTTPServer((host, port), handler)
+        self._server = _ConnectionTrackingServer((host, port), handler)
         self._thread: threading.Thread | None = None
 
     @property

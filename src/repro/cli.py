@@ -499,7 +499,7 @@ def _with_connection_errors(handler):
     def run(args: argparse.Namespace) -> int:
         try:
             return handler(args)
-        except OSError as error:  # URLError subclasses OSError
+        except OSError as error:  # refused, reset or timed out
             print(
                 f"error: cannot reach service at {args.url}: {error}",
                 file=sys.stderr,
