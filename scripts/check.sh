@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo gate: the tier-1 test suite plus the benchmark smokes, the
-# coverage floor, the examples over real HTTP and the quickstart smoke.
+# coverage floor, the examples over real HTTP, the paper's walk-through
+# and the quickstart smoke.
 #
 # Tier-1 runs once, with DeprecationWarning as an error so no
 # deprecated shim can come back. The smokes assert what the suite does
@@ -56,6 +57,11 @@ echo "== smoke: examples over real HTTP (kept-alive HttpClient) =="
 python examples/serve_api.py > /dev/null
 python examples/serve_jobs.py > /dev/null
 echo "examples over HTTP: ok"
+
+echo
+echo "== smoke: the paper's section III walk-through (Figs. 2-5, Doc2Vec included) =="
+python examples/fake_news_investigation.py > /dev/null
+echo "walk-through smoke: ok"
 
 echo
 echo "== docs: quickstart smoke on a tiny corpus =="

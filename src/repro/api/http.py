@@ -10,6 +10,7 @@ testable without third-party frameworks.
 from __future__ import annotations
 
 import json
+import logging
 import re
 import socket
 import threading
@@ -23,6 +24,8 @@ from repro.obs.trace import new_request_id
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Tracer
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -218,6 +221,11 @@ _CONTENT_LENGTH_RE = re.compile(r"[0-9]{1,18}")
 #: default.
 IDLE_TIMEOUT_SECONDS = 5.0
 
+#: Seconds between ``serve_forever``'s checks for a stop request, and so
+#: the most :meth:`ApiServer.stop` waits for the serving loop to end
+#: (the standard library's default is 0.5 s).
+POLL_INTERVAL_SECONDS = 0.05
+
 
 class _JsonRequestHandler(BaseHTTPRequestHandler):
     """Adapts :class:`BaseHTTPRequestHandler` to the router.
@@ -374,7 +382,23 @@ class _JsonRequestHandler(BaseHTTPRequestHandler):
             body=body,
             headers={key.lower(): value for key, value in self.headers.items()},
         )
-        response = self.router.dispatch(request)
+        try:
+            response = self.router.dispatch(request)
+        except Exception:  # noqa: BLE001 - a route bug still gets an answer
+            # Escaped, it would drop the connection with no status line,
+            # which a kept-alive client takes for an idle close and
+            # answers by sending the request again. What the failed
+            # route left behind is unknown, so close the connection too.
+            logger.exception("unhandled error in %s %s", method, parsed.path)
+            error = ApiError("internal server error")
+            self._respond(
+                HttpResponse(
+                    error.status_code,
+                    error.to_payload(),
+                    headers={"Connection": "close"},
+                )
+            )
+            return
         if isinstance(response, StreamingResponse):
             self._respond_stream(response)
         else:
@@ -434,7 +458,8 @@ class ApiServer:
     """A threading HTTP server bound to a :class:`Router`.
 
     :meth:`stop` also ends every kept-alive connection: an idle one is
-    closed at once, one with a request in flight after its response.
+    closed at once, one with a request in flight after its response. It
+    returns within about ``POLL_INTERVAL_SECONDS`` on an idle server.
     """
 
     def __init__(
@@ -468,7 +493,9 @@ class ApiServer:
     def start(self) -> "ApiServer":
         """Serve in a daemon thread; returns self for chaining."""
         self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True
+            target=self._server.serve_forever,
+            args=(POLL_INTERVAL_SECONDS,),
+            daemon=True,
         )
         self._thread.start()
         return self
@@ -482,7 +509,7 @@ class ApiServer:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread (blocks until interrupted)."""
-        self._server.serve_forever()
+        self._server.serve_forever(POLL_INTERVAL_SECONDS)
 
     def __enter__(self) -> "ApiServer":
         return self.start()

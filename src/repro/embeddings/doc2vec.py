@@ -6,6 +6,21 @@ documents. PV-DBOW learns one vector per document by training it to
 predict the document's words against negative samples; it is the variant
 gensim defaults to for similarity work and the cheapest to train, which
 matches the demo's interactive setting.
+
+Training takes one matrix step per (document, epoch), not one SGD step
+per word. A step draws the document's subsampling mask and all its
+(word × negative) noise ids at once, scores every target against the
+document vector in one mat-vec, and applies the summed gradients: once
+to the document vector, and once to each distinct output-word row. All
+predictions in a step see the document vector and word rows as they were
+before it, so a word repeated in a document (or drawn twice as noise)
+gets its gradients summed rather than applied one after another. That is
+a mini-batch of one document instead of word2vec's sequential updates;
+with a small learning rate the two follow the same gradient to first
+order, and the per-document form costs a handful of numpy calls whose
+size is the document's length instead of about ten Python-level calls
+per word. :meth:`Doc2Vec.infer_vector` runs the same step with the word
+rows frozen.
 """
 
 from __future__ import annotations
@@ -79,23 +94,62 @@ class Doc2Vec:
     ) -> np.ndarray:
         """Embed unseen text by gradient steps against frozen word vectors."""
         rng = default_rng(seed)
-        word_ids = self.vocabulary.encode(terms)
+        word_ids = np.asarray(self.vocabulary.encode(terms), dtype=np.int64)
         vector = (rng.random(self.dimension) - 0.5) / self.dimension
-        if not word_ids:
-            return vector
-        ids = np.asarray(word_ids, dtype=np.int64)
         for epoch in range(epochs):
-            alpha = learning_rate * (1.0 - epoch / epochs) + 1e-4
-            for word_id in ids:
-                negative_ids = self._unigram_table.sample(rng, self.negatives)
-                targets = np.concatenate(([word_id], negative_ids))
-                labels = np.zeros(len(targets))
-                labels[0] = 1.0
-                outputs = self.word_out[targets]
-                predictions = sigmoid(outputs @ vector)
-                gradient = (predictions - labels)[:, None]
-                vector -= alpha * (gradient * outputs).sum(axis=0)
+            _pv_dbow_step(
+                vector,
+                word_ids,
+                self.word_out,
+                self._unigram_table,
+                self.negatives,
+                alpha=learning_rate * (1.0 - epoch / epochs) + 1e-4,
+                rng=rng,
+                train_words=False,
+            )
         return vector
+
+
+def _pv_dbow_step(
+    vector: np.ndarray,
+    word_ids: np.ndarray,
+    word_out: np.ndarray,
+    table: UnigramTable,
+    negatives: int,
+    alpha: float,
+    rng: np.random.Generator,
+    keep_probability: np.ndarray | None = None,
+    train_words: bool = True,
+) -> None:
+    """One PV-DBOW step over a whole document, updating in place.
+
+    Every kept word is a positive target followed by ``negatives`` noise
+    targets; all of them are scored against ``vector`` in one mat-vec.
+    The document vector moves by the summed gradient, and (when
+    ``train_words``) each distinct row of ``word_out`` once, by its
+    summed gradient times the document vector from before the step.
+    Time and memory depend only on the document's length.
+    """
+    if keep_probability is not None:
+        draws = rng.random(len(word_ids))
+        word_ids = word_ids[draws <= keep_probability[word_ids]]
+    if not len(word_ids):
+        return
+    width = negatives + 1
+    targets = np.empty((len(word_ids), width), dtype=np.int64)
+    targets[:, 0] = word_ids
+    targets[:, 1:] = table.sample(rng, len(word_ids) * negatives).reshape(
+        -1, negatives
+    )
+    targets = targets.ravel()
+    outputs = word_out[targets]
+    gradient = sigmoid(outputs @ vector)
+    gradient[::width] -= 1.0  # prediction - label: each word's own row is 1
+    gradient *= alpha
+    if train_words:
+        rows, inverse = np.unique(targets, return_inverse=True)
+        word_out[rows] -= np.outer(np.bincount(inverse, weights=gradient), vector)
+    vector -= gradient @ outputs
 
 
 def train_doc2vec(
@@ -109,6 +163,14 @@ def train_doc2vec(
     seed: int | None = None,
 ) -> Doc2Vec:
     """Train PV-DBOW document embeddings.
+
+    Each epoch visits the documents in order and takes one
+    :func:`_pv_dbow_step` per non-empty document: a batch gradient over
+    the document's kept words and their negatives, not word2vec's one
+    SGD step per word (see the module docstring for why). Random numbers
+    are drawn per document, so a step's cost is bounded by the
+    document's length; a fixed ``seed`` reproduces the vectors bit for
+    bit.
 
     Args:
         documents: mapping of doc_id → analyzed term sequence.
@@ -127,13 +189,16 @@ def train_doc2vec(
     if len(vocabulary) == 0:
         raise TrainingError("empty vocabulary: no trainable terms")
 
-    encoded = {doc_id: vocabulary.encode(documents[doc_id]) for doc_id in doc_ids}
+    encoded = [
+        np.asarray(vocabulary.encode(documents[doc_id]), dtype=np.int64)
+        for doc_id in doc_ids
+    ]
     counts = np.array(
         [vocabulary.frequency(vocabulary.term_of(i)) for i in range(len(vocabulary))],
         dtype=np.float64,
     )
     table = UnigramTable(counts)
-    keep_probability = np.ones(len(vocabulary))
+    keep_probability = None
     if subsample is not None:
         frequency = counts / counts.sum()
         keep_probability = np.minimum(
@@ -145,25 +210,17 @@ def train_doc2vec(
 
     for epoch in range(epochs):
         alpha = learning_rate * (1.0 - epoch / epochs) + 1e-4
-        for row, doc_id in enumerate(doc_ids):
-            word_ids = encoded[doc_id]
-            if not word_ids:
-                continue
-            for word_id in word_ids:
-                if keep_probability[word_id] < 1.0 and (
-                    rng.random() > keep_probability[word_id]
-                ):
-                    continue
-                negative_ids = table.sample(rng, negatives)
-                targets = np.concatenate(([word_id], negative_ids))
-                labels = np.zeros(len(targets))
-                labels[0] = 1.0
-                outputs = word_out[targets]
-                vector = doc_vectors[row]
-                predictions = sigmoid(outputs @ vector)
-                gradient = (predictions - labels)[:, None]
-                word_out[targets] -= alpha * gradient * vector
-                doc_vectors[row] -= alpha * (gradient * outputs).sum(axis=0)
+        for row, word_ids in enumerate(encoded):
+            _pv_dbow_step(
+                doc_vectors[row],
+                word_ids,
+                word_out,
+                table,
+                negatives,
+                alpha,
+                rng,
+                keep_probability,
+            )
 
     return Doc2Vec(
         vocabulary=vocabulary,

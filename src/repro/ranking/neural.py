@@ -240,7 +240,8 @@ def train_neural_ranker(
         ranking = bm25.rank(query, min(candidate_depth, len(index)))
         candidates = list(ranking.doc_ids)
         # Pad with random unranked documents so the model sees true negatives.
-        pool = [doc_id for doc_id in all_ids if doc_id not in set(candidates)]
+        ranked = set(candidates)
+        pool = [doc_id for doc_id in all_ids if doc_id not in ranked]
         if pool:
             padding = rng.choice(
                 len(pool), size=min(len(pool), candidate_depth // 2), replace=False

@@ -4,6 +4,7 @@ timeouts, malformed framing, and ``HttpClient``'s per-thread connection."""
 
 import http.client
 import json
+import logging
 import socket
 import threading
 import time
@@ -107,6 +108,7 @@ class _CountingServer:
         for method in ("GET", "DELETE"):
             router.add(method, f"{prefix}/ping", lambda request: {"ok": True})
         router.add("POST", f"{prefix}/count", self._count)
+        router.add("POST", f"{prefix}/fail", self._fail)
         router.add("POST", f"{prefix}/stream", self._stream)
         self.api = ApiServer(router)
         accept = self.api._server.process_request
@@ -120,6 +122,10 @@ class _CountingServer:
     def _count(self, request):
         self.calls.append(request.body)
         return {"calls": len(self.calls)}
+
+    def _fail(self, request):
+        self.calls.append(request.body)
+        raise RuntimeError("a route bug")
 
     def _stream(self, request):
         return StreamingResponse(
@@ -234,6 +240,37 @@ class TestKeptAliveConnections:
             assert client.post("/count", {"n": 2}).status == 200
             assert counting.calls == [{"n": 1}, {"n": 2}]  # each ran once
             assert len(counting.accepted) == 2
+
+
+class TestRouteFailures:
+    def test_unmapped_route_error_is_one_500_that_closes(self, caplog):
+        # A connection dropped with no status line looks like an idle
+        # close to a kept-alive client, which would send the POST again.
+        with _CountingServer() as counting:
+            client = HttpClient(counting.api.url)
+            assert client.post("/count", {"n": 1}).status == 200
+            with caplog.at_level(logging.ERROR, logger="repro.api.http"):
+                failed = client.post("/fail", {"n": 2})  # on a reused connection
+            assert failed.status == 500
+            assert failed.headers["connection"] == "close"
+            assert failed.payload["error"] == "ApiError"
+            assert counting.calls == [{"n": 1}, {"n": 2}]  # the POST ran once
+            (record,) = [r for r in caplog.records if r.name == "repro.api.http"]
+            assert record.exc_info[0] is RuntimeError
+            assert client.post("/count", {"n": 3}).status == 200
+            assert len(counting.accepted) == 2  # a fresh connection after the 500
+
+
+class TestStop:
+    def test_stop_returns_promptly_on_an_idle_server(self):
+        # serve_forever's default poll is 0.5 s; stop() must not wait it out.
+        timings = []
+        for _ in range(3):
+            server = ApiServer(Router()).start()
+            started = time.perf_counter()
+            server.stop()
+            timings.append(time.perf_counter() - started)
+        assert min(timings) < 0.1
 
 
 class TestMalformedRequests:
