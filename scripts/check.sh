@@ -49,6 +49,12 @@ echo "== smoke: large-eval benchmark (quality floors + tier equivalence) =="
 EVAL_SMOKE=1 python -m pytest -q benchmarks/bench_large_eval.py
 
 echo
+echo "== smoke: perfbench correctness (packed vs in-memory top-k, counterfactual recheck) =="
+python3 perfbench/run.py --workload explain-packed-lm --seed 1 --seconds 2 --trace 0 > /dev/null
+python3 perfbench/run.py --workload explain-interactive --seed 1 --seconds 2 --trace 0 > /dev/null
+echo "perfbench correctness smoke: ok"
+
+echo
 echo "== coverage floor: eval + datasets layers (ratcheted) =="
 python scripts/coverage_floor.py
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from repro.errors import DocumentNotFoundError
 from repro.index.document import Document
@@ -59,6 +60,9 @@ class InvertedIndex:
         self._postings: dict[str, PostingsList] = {}
         self._doc_lengths: dict[str, int] = {}
         self._doc_term_freqs: dict[str, Counter[str]] = {}
+        #: doc_id -> insertion ordinal, ordered like ``_documents``.
+        self._ordinals: dict[str, int] = {}
+        self._next_ordinal = 0
         self._total_terms = 0
         self._version = 0
         self._stats_cache: CollectionStats | None = None
@@ -103,6 +107,8 @@ class InvertedIndex:
                     f"duplicate document id: {document.doc_id!r}"
                 )
             self._documents[document.doc_id] = document
+            self._ordinals[document.doc_id] = self._next_ordinal
+            self._next_ordinal += 1
             self._doc_lengths[document.doc_id] = len(terms)
             self._doc_term_freqs[document.doc_id] = Counter(terms)
             self._total_terms += len(terms)
@@ -126,6 +132,7 @@ class InvertedIndex:
             document = self._documents.pop(doc_id, None)
             if document is None:
                 raise DocumentNotFoundError(doc_id)
+            del self._ordinals[doc_id]
             self._total_terms -= self._doc_lengths.pop(doc_id)
             self._version += 1
             self._stats_cache = None
@@ -138,10 +145,15 @@ class InvertedIndex:
             return document
 
     def replace(self, document: Document) -> Document:
-        """Atomically swap a document body; returns the previous version."""
+        """Atomically swap a document body; returns the previous version.
+
+        The new body is analyzed before the lock is taken, so a body
+        that fails analysis leaves the old document in place.
+        """
+        terms = self.analyzer.analyze(document.body)
         with self._lock:
             previous = self.remove(document.doc_id)
-            self.add(document)
+            self.add_analyzed(document, terms)
             return previous
 
     def add_documents(self, documents: Iterable[Document]) -> int:
@@ -193,6 +205,18 @@ class InvertedIndex:
     def doc_ids(self) -> list[str]:
         with self._lock:
             return list(self._documents)
+
+    @property
+    def ordinals(self) -> Mapping[str, int]:
+        """Read-only live map from doc id to insertion ordinal.
+
+        Iterates like :attr:`doc_ids`, and ordinals increase along it:
+        every add (a re-add and :meth:`replace` included) takes the next
+        value of a counter that never goes back, and :meth:`remove`
+        drops the entry. Ranked retrieval breaks score ties on it
+        without copying ``doc_ids``.
+        """
+        return MappingProxyType(self._ordinals)
 
     def postings(self, term: str) -> PostingsList | None:
         """Postings for an *analyzed* term, or None if unindexed."""

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from collections import Counter
 from pathlib import Path
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from repro.errors import (
     DocumentNotFoundError,
@@ -211,9 +212,9 @@ class PackedShardedIndex(_ReadOnlyMutations):
     Duck-types :class:`~repro.index.sharding.ShardedIndex`: ``shards``
     exposes per-shard :class:`PackedIndex` views (the searcher fans
     sparse scoring out over them), merged statistics come from the
-    manifest's stored term table, and global insertion order is replayed
-    from the stored placements. A plain index is saved as one segment,
-    so every attach returns this view.
+    manifest's stored term table, and global insertion order (``doc_ids``
+    and ``ordinals``) is replayed from the stored placements. A plain
+    index is saved as one segment, so every attach returns this view.
     """
 
     def __init__(
@@ -241,7 +242,7 @@ class PackedShardedIndex(_ReadOnlyMutations):
             term: (df, cf) for term, df, cf in record.merged_terms
         }
         self._placements = record.placements
-        self._global_ids: list[str] | None = None
+        self._ordinals: dict[str, int] | None = None
 
     def close(self) -> None:
         for shard in self.shards:
@@ -262,22 +263,24 @@ class PackedShardedIndex(_ReadOnlyMutations):
 
     # -- lookups -------------------------------------------------------------
 
-    def _global_doc_ids(self) -> list[str]:
-        """Doc ids in global insertion order, replayed from placements.
+    def _global_ordinals(self) -> dict[str, int]:
+        """Doc id -> global insertion ordinal, replayed from placements.
 
         Each shard's segment stores its documents in shard insertion
         order — a subsequence of global order — so walking the placement
         sequence with one cursor per shard reproduces the global order.
+        Built on first use (attach stays O(1)) and then reused: the view
+        is read-only, so the map never changes.
         """
-        if self._global_ids is None:
+        if self._ordinals is None:
             cursors = [0] * len(self.shards)
-            ids: list[str] = []
-            for shard in self._placements:
+            ordinals: dict[str, int] = {}
+            for ordinal, shard in enumerate(self._placements):
                 segment = self.shards[shard].segment
-                ids.append(segment.doc_id(cursors[shard]))
+                ordinals[segment.doc_id(cursors[shard])] = ordinal
                 cursors[shard] += 1
-            self._global_ids = ids
-        return self._global_ids
+            self._ordinals = ordinals
+        return self._ordinals
 
     def document(self, doc_id: str) -> Document:
         return self.shards[self.shard_of(doc_id)].document(doc_id)
@@ -289,11 +292,16 @@ class PackedShardedIndex(_ReadOnlyMutations):
         return self._record.document_count
 
     def __iter__(self) -> Iterator[Document]:
-        return (self.document(doc_id) for doc_id in self._global_doc_ids())
+        return (self.document(doc_id) for doc_id in self._global_ordinals())
 
     @property
     def doc_ids(self) -> list[str]:
-        return list(self._global_doc_ids())
+        return list(self._global_ordinals())
+
+    @property
+    def ordinals(self) -> Mapping[str, int]:
+        """Read-only map from doc id to global insertion ordinal."""
+        return MappingProxyType(self._global_ordinals())
 
     def postings(self, term: str) -> MergedPostings | None:
         parts = [

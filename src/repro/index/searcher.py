@@ -4,13 +4,17 @@ This is the Pyserini-searcher equivalent: analysed query → top-k hits
 under a pluggable :class:`Similarity`. Term-at-a-time accumulation scores
 only documents containing at least one query term; language-model
 similarities (which smooth absent terms) fall back to scoring every
-document.
+document. Results are ordered through the index's ``ordinals`` map
+(doc id → insertion ordinal), so selecting the top k never walks the
+corpus.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.errors import IndexStateError
 from repro.index.inverted import InvertedIndex
@@ -20,7 +24,6 @@ from repro.index.similarity import (
     Similarity,
     TermStats,
 )
-from repro.utils.heap import TopK
 from repro.utils.validation import require_positive
 
 
@@ -100,6 +103,16 @@ class IndexSearcher:
                     )
         return dict(accumulator)
 
+    def _in_corpus_order(self, doc_ids: Iterable[str]) -> list[str]:
+        """``doc_ids`` sorted by insertion ordinal; ids no longer indexed drop out."""
+        ordinal = self.index.ordinals.get
+        placed = [
+            (position, doc_id)
+            for doc_id in doc_ids
+            if (position := ordinal(doc_id)) is not None
+        ]
+        return [doc_id for _, doc_id in sorted(placed)]
+
     def _score_dense(self, query_terms: list[str]) -> dict[str, float]:
         """Score every document against every query term (LM smoothing).
 
@@ -141,24 +154,32 @@ class IndexSearcher:
         """Return the top-``k`` hits for ``query``, best first.
 
         Ties are broken by insertion (index) order, so results are
-        deterministic for a fixed corpus.
+        deterministic for a fixed corpus. Selection keeps the k best
+        scored documents by (−score, insertion ordinal) in one pass
+        with a k-sized heap, so it follows the matching postings and
+        never walks ``doc_ids``. A document removed after scoring has
+        no ordinal and drops out.
         """
         require_positive(k, "k")
         scores = self.score_all(query)
-        top = TopK[str](k)
-        for doc_id in self.index.doc_ids:  # stable order for ties
-            if doc_id in scores:
-                top.push(scores[doc_id], doc_id)
+        ordinal = self.index.ordinals.get
+        ranked = [
+            (-score, position, doc_id)
+            for doc_id, score in scores.items()
+            if (position := ordinal(doc_id)) is not None
+        ]
         return [
-            SearchHit(doc_id=doc_id, score=score, rank=rank)
-            for rank, (score, doc_id) in enumerate(top.items(), start=1)
+            SearchHit(doc_id=doc_id, score=-negated, rank=rank)
+            for rank, (negated, _, doc_id) in enumerate(
+                heapq.nsmallest(k, ranked), start=1
+            )
         ]
 
     def search_phrase(self, phrase: str) -> list[str]:
         """Exact-phrase retrieval using positional postings.
 
         Returns ids of documents containing the analysed terms of
-        ``phrase`` as consecutive positions, in stable corpus order.
+        ``phrase`` as consecutive positions, in corpus insertion order.
         Single-term phrases degrade to term lookup; empty analysis
         yields no results.
         """
@@ -184,11 +205,11 @@ class IndexSearcher:
                     break
             if starts:
                 matches.append(doc_id)
-        order = {doc_id: i for i, doc_id in enumerate(self.index.doc_ids)}
-        return sorted(matches, key=order.__getitem__)
+        return self._in_corpus_order(matches)
 
     def search_boolean(self, query: str, mode: str = "and") -> list[str]:
-        """Boolean retrieval: ids of documents matching all/any query terms."""
+        """Boolean retrieval: ids of documents matching all/any query terms,
+        in corpus insertion order."""
         if mode not in {"and", "or"}:
             raise ValueError(f"mode must be 'and' or 'or', got {mode!r}")
         query_terms = self.index.analyzer.analyze(query)
@@ -199,4 +220,4 @@ class IndexSearcher:
             postings = self.index.postings(term)
             doc_sets.append({p.doc_id for p in postings} if postings else set())
         combined: set[str] = set.intersection(*doc_sets) if mode == "and" else set.union(*doc_sets)
-        return [doc_id for doc_id in self.index.doc_ids if doc_id in combined]
+        return self._in_corpus_order(combined)

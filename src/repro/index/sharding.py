@@ -14,9 +14,10 @@ one shard. Correctness hinges on two merged views:
   TF-IDF / LM scores computed against a sharded corpus are
   **byte-identical** to the single-shard index.
 * Global insertion order is tracked across shards (``doc_ids``,
-  ``__iter__``, and ``terms()`` replay it), so every
-  order-dependent tie-break — ranked retrieval, ``Ranking.from_scores``,
-  Doc2Vec training order — is preserved exactly.
+  ``__iter__``, and ``terms()`` replay it, and ``ordinals`` numbers
+  it), so every order-dependent tie-break — ranked retrieval,
+  ``Ranking.from_scores``, Doc2Vec training order — is preserved
+  exactly.
 
 Ingestion has one path, :meth:`ShardedIndex.add_documents`: analyze
 every body through the shared analyzer (whose memo analyzes each
@@ -33,6 +34,7 @@ import zlib
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import ConfigurationError, DocumentNotFoundError
@@ -235,7 +237,7 @@ class MergedPostings:
     :class:`~repro.index.postings.PostingsList` (iteration, ``get``,
     df/cf, membership). Iteration yields shard 0's postings first, then
     shard 1's, and so on — callers that need global corpus order
-    (phrase/boolean search) already re-sort by ``doc_ids``, and scoring
+    (phrase/boolean search) already re-sort by ``ordinals``, and scoring
     accumulates per document, so the inter-shard order is never
     observable in results.
     """
@@ -306,6 +308,9 @@ class ShardedIndex:
         self.router = router
         #: doc_id -> shard position, in global insertion order.
         self._assignments: dict[str, int] = {}
+        #: doc_id -> global insertion ordinal, ordered like _assignments.
+        self._ordinals: dict[str, int] = {}
+        self._next_ordinal = 0
         self._merged = MergedStats()
         self._version = 0
         self._lock = threading.RLock()
@@ -386,6 +391,8 @@ class ShardedIndex:
         """Place an analyzed document on an explicit shard (lock held)."""
         self.shards[shard].add_analyzed(document, terms)
         self._assignments[document.doc_id] = shard
+        self._ordinals[document.doc_id] = self._next_ordinal
+        self._next_ordinal += 1
         self._merged.add_document(terms)
 
     def remove(self, doc_id: str) -> Document:
@@ -399,6 +406,7 @@ class ShardedIndex:
             length = shard.document_length(doc_id)
             document = shard.remove(doc_id)
             del self._assignments[doc_id]
+            del self._ordinals[doc_id]
             self._merged.remove_document(counts, length)
             self._version += 1
             return document
@@ -408,11 +416,13 @@ class ShardedIndex:
 
         The document keeps its current shard (routing happens once, at
         first ingestion), so a stateful router's placements stay stable.
+        The new body is analyzed before the lock is taken, so a body
+        that fails analysis leaves the old document in place.
         """
+        terms = self.analyzer.analyze(document.body)
         with self._lock:
             shard = self.shard_of(document.doc_id)
             previous = self.remove(document.doc_id)
-            terms = self.analyzer.analyze(document.body)
             self._add_routed(document, terms, shard)
             self._version += 1
             return previous
@@ -471,6 +481,18 @@ class ShardedIndex:
     def doc_ids(self) -> list[str]:
         with self._lock:
             return list(self._assignments)
+
+    @property
+    def ordinals(self) -> Mapping[str, int]:
+        """Read-only live map from doc id to global insertion ordinal.
+
+        The corpus-wide counterpart of
+        :attr:`InvertedIndex.ordinals <repro.index.inverted.InvertedIndex.ordinals>`:
+        iterates like :attr:`doc_ids`, a re-added or replaced document
+        takes the next value of the corpus counter, and a removed one
+        drops out.
+        """
+        return MappingProxyType(self._ordinals)
 
     def postings(self, term: str) -> MergedPostings | None:
         """Merged postings view for an analyzed term, or None if unindexed."""

@@ -7,11 +7,11 @@ dozen documents, a handful of topics).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import TrainingError
+from repro.errors import DocumentNotFoundError, TrainingError
 from repro.text.vocabulary import Vocabulary
 from repro.utils.rng import default_rng
 from repro.utils.validation import require, require_positive
@@ -27,6 +27,11 @@ class LdaModel:
     doc_topic_counts: np.ndarray  # (docs, topics)
     alpha: float
     beta: float
+    #: doc_id -> row of ``doc_topic_counts``, built once.
+    _rows: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._rows = {doc_id: row for row, doc_id in enumerate(self.doc_ids)}
 
     @property
     def num_topics(self) -> int:
@@ -39,7 +44,9 @@ class LdaModel:
 
     def document_topic_distribution(self, doc_id: str) -> np.ndarray:
         """theta_doc: smoothed P(topic | document)."""
-        row = self.doc_ids.index(doc_id)
+        row = self._rows.get(doc_id)
+        if row is None:
+            raise DocumentNotFoundError(doc_id)
         counts = self.doc_topic_counts[row] + self.alpha
         return counts / counts.sum()
 

@@ -1,7 +1,7 @@
 """A bounded top-k accumulator built on :mod:`heapq`.
 
-Used by the index searcher and the KNN code to keep the ``k`` best-scoring
-items of a stream without materialising the full score list.
+Used by the KNN code to keep the ``k`` best-scoring items of a stream
+without materialising the full score list.
 """
 
 from __future__ import annotations

@@ -110,6 +110,14 @@ class TestMutation:
         assert previous.doc_id == "d4"
         assert "entir" in [t for t in index.terms()] or index.document_frequency("entir") == 1
 
+    def test_failed_replace_keeps_document(self, tiny_docs):
+        index = InvertedIndex.from_documents(tiny_docs)
+        before = (index.document("d4"), len(index), index.version, index.doc_ids)
+        with pytest.raises(TypeError):
+            index.replace(Document("d4", None))
+        after = (index.document("d4"), len(index), index.version, index.doc_ids)
+        assert after == before
+
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.text(alphabet="abcde ", min_size=1, max_size=30), min_size=1, max_size=8))
     def test_add_remove_roundtrip_property(self, bodies):

@@ -220,6 +220,21 @@ class TestMutation:
         assert single.stats() == sharded.stats()
         assert list(single.terms()) == list(sharded.terms())
 
+    def test_failed_replace_keeps_document(self, corpus):
+        index = ShardedIndex.from_documents(corpus[:10], shard_count=2)
+        victim = corpus[3].doc_id
+        before = (
+            index.document(victim), index.shard_of(victim), len(index),
+            index.version, index.doc_ids, index.stats(),
+        )
+        with pytest.raises(TypeError):
+            index.replace(Document(victim, None))
+        after = (
+            index.document(victim), index.shard_of(victim), len(index),
+            index.version, index.doc_ids, index.stats(),
+        )
+        assert after == before
+
     def test_version_advances_on_every_mutation(self, corpus):
         index = ShardedIndex.from_documents(corpus[:10], shard_count=2)
         version = index.version

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.topics.lda import train_lda
+from repro.errors import ConfigurationError, DocumentNotFoundError
+from repro.topics.lda import LdaModel, train_lda
 from repro.topics.summaries import summarize_topics
 
 DOCS = {
@@ -65,6 +65,39 @@ class TestDistributions:
         covid_topic = int(np.argmax(model.document_topic_distribution("covid-a")))
         top = [term for term, _ in model.top_terms(covid_topic, n=4)]
         assert "covid" in top or "outbreak" in top or "hospital" in top
+
+    def test_unknown_document_raises(self, model):
+        with pytest.raises(DocumentNotFoundError):
+            model.document_topic_distribution("missing")
+
+
+class _CountingIds(list):
+    """A ``doc_ids`` list that counts linear ``index`` lookups."""
+
+    index_calls = 0
+
+    def index(self, *args):
+        type(self).index_calls += 1
+        return super().index(*args)
+
+
+class TestRowLookup:
+    def test_document_rows_never_scan_doc_ids(self, model):
+        doc_ids = _CountingIds(model.doc_ids)
+        counted = LdaModel(
+            vocabulary=model.vocabulary,
+            doc_ids=doc_ids,
+            topic_word_counts=model.topic_word_counts,
+            doc_topic_counts=model.doc_topic_counts,
+            alpha=model.alpha,
+            beta=model.beta,
+        )
+        for doc_id in DOCS:
+            assert np.array_equal(
+                counted.document_topic_distribution(doc_id),
+                model.document_topic_distribution(doc_id),
+            )
+        assert _CountingIds.index_calls == 0
 
 
 class TestSummaries:
