@@ -55,6 +55,11 @@ python3 perfbench/run.py --workload explain-interactive --seed 1 --seconds 2 --t
 echo "perfbench correctness smoke: ok"
 
 echo
+echo "== smoke: traced perfbench (every wrap target resolves and is called) =="
+python3 perfbench/run.py --workload explain-packed-lm --seed 1 --seconds 2 --trace 1 > /dev/null
+echo "traced perfbench smoke: ok"
+
+echo
 echo "== coverage floor: eval + datasets layers (ratcheted) =="
 python scripts/coverage_floor.py
 

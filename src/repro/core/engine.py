@@ -15,6 +15,7 @@ from repro.embeddings.doc2vec import Doc2Vec, train_doc2vec
 from repro.embeddings.vectorizers import Bm25Vectorizer
 from repro.errors import ConfigurationError, ReproError
 from repro.index.document import Document
+from repro.index.inverted import InvertedIndex
 from repro.index.sharding import ShardedIndex
 from repro.ranking.base import Ranker, Ranking
 from repro.ranking.bm25 import Bm25Ranker
@@ -293,18 +294,18 @@ class CredenceEngine:
     def index_info(self) -> dict:
         """Corpus layout and statistics (the ``GET /index`` payload)."""
         stats = self.index.stats()
-        # Duck-typed on purpose: the index may be a live ShardedIndex or
-        # a read-only packed/replica view exposing the same surface.
-        shards = getattr(self.index, "shards", None)
+        # A bare InvertedIndex is one unrouted segment; a live, packed or
+        # replica corpus has a router and reports its layout.
+        sharded = not isinstance(self.index, InvertedIndex)
         info = {
             "documents": stats.document_count,
             "unique_terms": stats.unique_terms,
             "total_terms": stats.total_terms,
             "average_document_length": stats.average_document_length,
             "version": self.index.version,
-            "sharded": shards is not None,
+            "sharded": sharded,
         }
-        if shards is not None:
+        if sharded:
             info["shards"] = self.index.shard_count
             info["router"] = self.index.router.name
             info["shard_documents"] = self.index.shard_sizes()

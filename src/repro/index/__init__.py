@@ -10,12 +10,14 @@ replicas.
 
 A corpus has one shape at every layer: an ordered list of segments
 behind a router (:mod:`repro.index.sharding`), where "plain" means one
-segment. A :class:`ShardedIndex` routes documents across N
-:class:`InvertedIndex` shards, keeps merged corpus-level statistics so
-scores stay byte-identical to a bare :class:`InvertedIndex`,
-bulk-ingests through the analyzer's token memo, and fans retrieval out
-per shard; a saved generation stores the same segments, and attaches as a
-:class:`PackedShardedIndex`.
+segment. One :class:`~repro.index.sharding.SegmentedReader` serves
+every corpus read over the segments, merged corpus-level statistics (so
+scores stay byte-identical to a bare :class:`InvertedIndex`) and the
+global placement order. A :class:`ShardedIndex` adds routing and
+mutation over N live :class:`InvertedIndex` shards and bulk-ingests
+through the analyzer's token memo; a saved generation stores the same
+segments and attaches as a :class:`PackedShardedIndex`, the same reader
+over packed segments.
 """
 
 from repro.index.document import Document

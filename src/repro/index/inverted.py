@@ -207,6 +207,11 @@ class InvertedIndex:
             return list(self._documents)
 
     @property
+    def shards(self) -> tuple[InvertedIndex]:
+        """The segments a searcher fans out over: a bare index is one."""
+        return (self,)
+
+    @property
     def ordinals(self) -> Mapping[str, int]:
         """Read-only live map from doc id to insertion ordinal.
 

@@ -1,15 +1,17 @@
 """Read-only index views attached over mmap-packed v3 segments.
 
-:class:`PackedShardedIndex` duck-types the complete *read* surface of
-:class:`~repro.index.sharding.ShardedIndex` — rankers, scoring
-sessions, the search kernel, and all six explainers run against it
-unchanged — while serving every lookup from the on-disk segments, one
-:class:`PackedIndex` per segment (the packed counterpart of one
-:class:`~repro.index.inverted.InvertedIndex` shard):
+:class:`PackedShardedIndex` is a
+:class:`~repro.index.sharding.SegmentedReader` — the read surface a
+:class:`~repro.index.sharding.ShardedIndex` has, written once — whose
+segments are on disk, one :class:`PackedIndex` per segment (the packed
+counterpart of one :class:`~repro.index.inverted.InvertedIndex`
+shard). Rankers, scoring sessions, the search kernel, and all six
+explainers run against it unchanged:
 
 * Attach is O(1) in segment size: open the manifest, read one
   generation row, ``mmap`` the segment files, parse fixed-size headers.
-  No JSON parse, no re-analysis, no posting rebuild.
+  No JSON parse, no re-analysis, no posting rebuild. The placement maps
+  (doc id → shard, doc id → global ordinal) are built on first use.
 * Lookups decode lazily (a postings list on first use of its term, a
   document record on first access to its block) and memoize, so a warm
   reader converges on in-memory speed for its working set while cold
@@ -31,9 +33,8 @@ term sequences without re-running the analyzer.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
-from types import MappingProxyType
-from typing import Iterator, Mapping
 
 from repro.errors import (
     DocumentNotFoundError,
@@ -43,12 +44,12 @@ from repro.errors import (
 from repro.index.document import Document
 from repro.index.postings import Posting, PostingsList
 from repro.index.sharding import (
-    MergedPostings,
+    MergedStats,
     RoundRobinRouter,
+    SegmentedReader,
     ShardedIndex,
     build_router,
 )
-from repro.index.stats import CollectionStats
 from repro.obs.trace import span as obs_span
 from repro.text.analyzer import Analyzer
 from repro.index.persist.manifest import GenerationRecord, Manifest
@@ -205,16 +206,16 @@ def _term_sequences(segment: Segment) -> list[list[str]]:
     return sequences
 
 
-class PackedShardedIndex(_ReadOnlyMutations):
+class PackedShardedIndex(_ReadOnlyMutations, SegmentedReader):
     """Read-only view over one committed generation: one packed segment
     per shard, behind the generation's router.
 
-    Duck-types :class:`~repro.index.sharding.ShardedIndex`: ``shards``
-    exposes per-shard :class:`PackedIndex` views (the searcher fans
-    sparse scoring out over them), merged statistics come from the
-    manifest's stored term table, and global insertion order (``doc_ids``
-    and ``ordinals``) is replayed from the stored placements. A plain
-    index is saved as one segment, so every attach returns this view.
+    The read surface is :class:`~repro.index.sharding.SegmentedReader`'s:
+    ``shards`` are per-segment :class:`PackedIndex` views (the searcher
+    fans sparse scoring out over them), the merged statistics are the
+    manifest's stored term table, and the two placement maps are
+    replayed from the stored placements on first use. A plain index is
+    saved as one segment, so every attach returns this view.
     """
 
     def __init__(
@@ -224,25 +225,25 @@ class PackedShardedIndex(_ReadOnlyMutations):
         record: GenerationRecord,
         storage: dict | None = None,
     ):
-        self.shards = shards
-        self.analyzer = analyzer
+        router = build_router(record.router, record.shard_count)
+        if isinstance(router, RoundRobinRouter) and (
+            record.router_cursor is not None
+        ):
+            router.cursor = record.router_cursor
+        super().__init__(
+            shards,
+            analyzer,
+            router,
+            MergedStats(
+                record.merged_terms, record.document_count, record.total_terms
+            ),
+        )
         self._record = record
         self._storage = dict(storage or {})
         #: Manifest path this view was attached from (set by
         #: :func:`attach_packed`); the process tier reuses it so worker
         #: processes can re-attach the same index without a re-save.
         self.manifest_path: Path | None = None
-        self.router = build_router(record.router, record.shard_count)
-        if isinstance(self.router, RoundRobinRouter) and (
-            record.router_cursor is not None
-        ):
-            self.router.cursor = record.router_cursor
-        #: term -> (df, cf) in merged insertion order.
-        self._merged: dict[str, tuple[int, int]] = {
-            term: (df, cf) for term, df, cf in record.merged_terms
-        }
-        self._placements = record.placements
-        self._ordinals: dict[str, int] | None = None
 
     def close(self) -> None:
         for shard in self.shards:
@@ -251,111 +252,37 @@ class PackedShardedIndex(_ReadOnlyMutations):
     def storage_info(self) -> dict:
         return dict(self._storage)
 
-    @property
-    def shard_count(self) -> int:
-        return len(self.shards)
+    @cached_property
+    def _assignments(self) -> dict[str, int]:
+        """Doc id -> shard in global insertion order, built on first use.
 
-    def shard_of(self, doc_id: str) -> int:
-        for position, shard in enumerate(self.shards):
-            if doc_id in shard:
-                return position
-        raise DocumentNotFoundError(doc_id)
-
-    # -- lookups -------------------------------------------------------------
-
-    def _global_ordinals(self) -> dict[str, int]:
-        """Doc id -> global insertion ordinal, replayed from placements.
-
-        Each shard's segment stores its documents in shard insertion
-        order — a subsequence of global order — so walking the placement
-        sequence with one cursor per shard reproduces the global order.
-        Built on first use (attach stays O(1)) and then reused: the view
-        is read-only, so the map never changes.
+        Each segment stores its documents in shard insertion order — a
+        subsequence of global order — so walking the stored placements
+        with one cursor per shard replays the global order.
         """
-        if self._ordinals is None:
-            cursors = [0] * len(self.shards)
-            ordinals: dict[str, int] = {}
-            for ordinal, shard in enumerate(self._placements):
-                segment = self.shards[shard].segment
-                ordinals[segment.doc_id(cursors[shard])] = ordinal
-                cursors[shard] += 1
-            self._ordinals = ordinals
-        return self._ordinals
+        cursors = [0] * len(self.shards)
+        assignments: dict[str, int] = {}
+        for shard in self._record.placements:
+            segment = self.shards[shard].segment
+            assignments[segment.doc_id(cursors[shard])] = shard
+            cursors[shard] += 1
+        return assignments
 
-    def document(self, doc_id: str) -> Document:
-        return self.shards[self.shard_of(doc_id)].document(doc_id)
+    @cached_property
+    def _ordinals(self) -> dict[str, int]:
+        """Doc id -> global insertion ordinal, ordered like ``_assignments``."""
+        return {
+            doc_id: ordinal for ordinal, doc_id in enumerate(self._assignments)
+        }
 
-    def __contains__(self, doc_id: str) -> bool:
-        return any(doc_id in shard for shard in self.shards)
-
-    def __len__(self) -> int:
-        return self._record.document_count
-
-    def __iter__(self) -> Iterator[Document]:
-        return (self.document(doc_id) for doc_id in self._global_ordinals())
-
-    @property
-    def doc_ids(self) -> list[str]:
-        return list(self._global_ordinals())
-
-    @property
-    def ordinals(self) -> Mapping[str, int]:
-        """Read-only map from doc id to global insertion ordinal."""
-        return MappingProxyType(self._global_ordinals())
-
-    def postings(self, term: str) -> MergedPostings | None:
-        parts = [
-            postings
-            for postings in (shard.postings(term) for shard in self.shards)
-            if postings is not None
-        ]
-        if not parts:
-            return None
-        return MergedPostings(term, parts)
-
-    def terms(self) -> Iterator[str]:
-        return iter(list(self._merged))
-
-    # -- statistics ----------------------------------------------------------
-
-    def document_frequency(self, term: str) -> int:
-        entry = self._merged.get(term)
-        return entry[0] if entry else 0
-
-    def collection_frequency(self, term: str) -> int:
-        entry = self._merged.get(term)
-        return entry[1] if entry else 0
-
-    def term_frequency(self, term: str, doc_id: str) -> int:
-        return self.shards[self.shard_of(doc_id)].term_frequency(term, doc_id)
-
-    def document_length(self, doc_id: str) -> int:
-        return self.shards[self.shard_of(doc_id)].document_length(doc_id)
-
-    def term_vector(self, doc_id: str) -> Counter[str]:
-        return self.shards[self.shard_of(doc_id)].term_vector(doc_id)
-
-    def term_frequencies(self, doc_id: str) -> Counter[str]:
-        return self.shards[self.shard_of(doc_id)].term_frequencies(doc_id)
+    # Traced and counted per class (perfbench, the search guards).
+    doc_ids = SegmentedReader.doc_ids
+    postings = SegmentedReader.postings
 
     @property
     def version(self) -> int:
         """Content fingerprint — stable across processes and replicas."""
         return self._record.fingerprint
-
-    def stats(self) -> CollectionStats:
-        return CollectionStats(
-            document_count=self._record.document_count,
-            total_terms=self._record.total_terms,
-            unique_terms=len(self._merged),
-        )
-
-    @property
-    def average_document_length(self) -> float:
-        return self.stats().average_document_length
-
-    def shard_sizes(self) -> list[int]:
-        return [len(shard) for shard in self.shards]
 
     # -- hydration -----------------------------------------------------------
 
@@ -365,7 +292,7 @@ class PackedShardedIndex(_ReadOnlyMutations):
         cursors = [0] * len(self.shards)
 
         def placements():
-            for shard in self._placements:
+            for shard in self._record.placements:
                 ordinal = cursors[shard]
                 cursors[shard] += 1
                 yield (

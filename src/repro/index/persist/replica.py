@@ -8,10 +8,14 @@ writer keeps committing new generations:
 
 * :meth:`ReplicaIndex.refresh` polls the manifest's generation counter
   (one indexed SQLite read) and, when a newer commit exists, attaches
-  it and swaps the inner view in a single attribute assignment —
-  in-flight reads finish against the old view, new reads see the new
-  one. POSIX keeps the old generation's unlinked segment files readable
-  through the existing mmaps until the old view is dropped.
+  it and swaps the inner view in a single attribute assignment. A
+  segment read in flight finishes against the old view; new reads see
+  the new one. Every attribute is looked up on the view attached at
+  that moment, so a request that spans the swap may read both
+  generations. The swap never closes the old view: it is released (its
+  mmaps unmapped) when the last read holding it drops it, and POSIX
+  keeps the old generation's unlinked segment files readable until
+  then.
 * :class:`GenerationWatcher` runs that poll on a daemon thread, which is
   what ``repro serve --replica`` uses.
 
@@ -85,26 +89,26 @@ class ReplicaIndex:
         Returns True when a swap happened. Serialised by a lock so a
         watcher thread and an explicit caller cannot double-attach; the
         swap itself is one attribute assignment, safe against concurrent
-        readers (they hold a reference to whichever view they started
-        with).
+        readers (a read holding the old view's segments finishes on
+        them).
         """
         with self._refresh_lock:
             latest = self._manifest.latest_generation_number()
             if latest is None or latest == self.generation:
                 return False
-            previous = self._inner
+            previous = self.generation
+            # The old view is not closed: a segment read still holding
+            # it finishes on it, and it is released when the last of
+            # them drops it.
             self._inner = self._attach()
-            previous.close()
             obs_event(
-                "replica/swap",
-                generation=self.generation,
-                previous=previous.storage_info()["generation"],
+                "replica/swap", generation=self.generation, previous=previous
             )
             logger.info(
                 "replica %s: attached generation %d (was %d)",
                 self._path,
                 self.generation,
-                previous.storage_info()["generation"],
+                previous,
             )
             return True
 

@@ -205,20 +205,22 @@ class Segment:
 
         self.path = Path(path)
         try:
-            self._file = self.path.open("rb")
+            handle = self.path.open("rb")
         except OSError as error:
             raise IndexFormatError(
                 f"cannot open segment {self.path}: {error}"
             ) from None
-        try:
-            self._mmap = mmap.mmap(
-                self._file.fileno(), 0, access=mmap.ACCESS_READ
-            )
-        except (OSError, ValueError) as error:
-            self._file.close()
-            raise IndexFormatError(
-                f"cannot map segment {self.path}: {error}"
-            ) from None
+        # The mapping keeps its own descriptor, so the file closes here
+        # and a dropped segment leaks no file.
+        with handle:
+            try:
+                self._mmap = mmap.mmap(
+                    handle.fileno(), 0, access=mmap.ACCESS_READ
+                )
+            except (OSError, ValueError) as error:
+                raise IndexFormatError(
+                    f"cannot map segment {self.path}: {error}"
+                ) from None
         self._view = memoryview(self._mmap)
         try:
             unpacked = _HEADER.unpack_from(self._view, 0)
@@ -255,7 +257,6 @@ class Segment:
     def close(self) -> None:
         self._view.release()
         self._mmap.close()
-        self._file.close()
 
     # -- string tables -------------------------------------------------------
 

@@ -56,10 +56,12 @@ class PostingsList:
     @property
     def collection_frequency(self) -> int:
         """Total occurrences of the term across the collection (cf)."""
-        return sum(p.frequency for p in self._postings.values())
+        return sum(posting.frequency for posting in self)
 
     def __iter__(self) -> Iterator[Posting]:
-        return iter(self._postings.values())
+        # A snapshot taken in one C-level call: a reader iterating without
+        # the index lock never sees the dict change size under it.
+        return iter(tuple(self._postings.values()))
 
     def __len__(self) -> int:
         return len(self._postings)

@@ -59,36 +59,25 @@ class IndexSearcher:
             collection_frequency=self.index.collection_frequency(term),
         )
 
-    def _shards(self) -> tuple[InvertedIndex, ...] | None:
-        """The index's shards when it is sharded, else None.
-
-        Duck-typed on purpose: anything exposing single-index ``shards``
-        (a :class:`~repro.index.sharding.ShardedIndex`) gets fan-out
-        scoring; a plain index takes the direct path.
-        """
-        return getattr(self.index, "shards", None)
-
     def _score_sparse(self, query_terms: list[str]) -> dict[str, float]:
         """Term-at-a-time scores for documents matching ≥1 query term.
 
-        Against a sharded corpus this fans out per shard — postings and
-        document lengths are read from the owning shard directly, while
+        Fans out over the index's segments (``shards``; a bare
+        :class:`InvertedIndex` is its own one segment) — postings and
+        document lengths are read from the owning segment directly, while
         term and field statistics stay *corpus-level* (the merged view) —
-        and merges the per-shard accumulators. Every document lives on
-        exactly one shard and its per-term contributions are summed in
+        and merges the per-segment accumulators. Every document lives on
+        exactly one segment and its per-term contributions are summed in
         query order either way, so the merged scores are byte-identical
-        to the single-index path.
+        for any segment count.
         """
         field_stats = self._field_stats()
-        shards = self._shards()
-        if shards is None:
-            shards = (self.index,)
         term_stats: dict[str, TermStats] = {}
         for term in query_terms:
             if term not in term_stats:
                 term_stats[term] = self._term_stats(term)
         accumulator: dict[str, float] = defaultdict(float)
-        for shard in shards:
+        for shard in self.index.shards:
             for term in query_terms:
                 postings = shard.postings(term)
                 if postings is None:
@@ -120,12 +109,9 @@ class IndexSearcher:
         lookups hit the owning shard, statistics stay corpus-level.
         """
         field_stats = self._field_stats()
-        shards = self._shards()
-        if shards is None:
-            shards = (self.index,)
         term_stats = {term: self._term_stats(term) for term in set(query_terms)}
         scores: dict[str, float] = {}
-        for shard in shards:
+        for shard in self.index.shards:
             for doc_id in shard.doc_ids:
                 length = shard.document_length(doc_id)
                 total = 0.0

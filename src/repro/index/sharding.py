@@ -6,7 +6,9 @@ a :class:`ShardRouter` and exposes the *exact* read/write surface of a
 single index, so rankers, scoring sessions, the search kernel, and the
 explainers work against it unchanged. It is the one live index shape:
 the engine and ``repro index`` always build one, and a plain corpus is
-one shard. Correctness hinges on two merged views:
+one shard. Its read surface is :class:`SegmentedReader`'s, which the
+packed view of a saved corpus shares. Correctness hinges on two merged
+views:
 
 * :class:`MergedStats` maintains corpus-level statistics (document
   frequency, collection frequency, total terms, document count)
@@ -151,11 +153,17 @@ class MergedStats:
     :meth:`InvertedIndex.terms`.
     """
 
-    def __init__(self):
+    def __init__(
+        self,
+        terms: Iterable[tuple[str, int, int]] = (),
+        document_count: int = 0,
+        total_terms: int = 0,
+    ):
+        """Empty, or restored from stored ``(term, df, cf)`` rows."""
         #: term -> [document_frequency, collection_frequency]
-        self._terms: dict[str, list[int]] = {}
-        self.document_count = 0
-        self.total_terms = 0
+        self._terms = {term: [df, cf] for term, df, cf in terms}
+        self.document_count = document_count
+        self.total_terms = total_terms
 
     def add_document(self, terms: Sequence[str]) -> None:
         """Account for one added document given its analyzed terms."""
@@ -272,102 +280,43 @@ class MergedPostings:
         return any(doc_id in part for part in self._parts)
 
 
-class ShardedIndex:
-    """N inverted-index shards behind the single-index surface.
+class SegmentedReader:
+    """The corpus read surface, written once over segments behind a router.
 
-    Drop-in for :class:`~repro.index.inverted.InvertedIndex` everywhere
-    a corpus is read or mutated: rankers, sessions, searchers, storage,
-    and the engine accept either. Scores, ranks, and explanation output
-    are byte-identical to a bare :class:`InvertedIndex` over the same
-    documents, for any shard count (pinned by
-    ``tests/index/test_sharded_equivalence.py``).
-
-    Thread safety matches the single index: a reentrant lock guards the
-    assignment table, the router, the merged statistics, and multi-step
-    reads; each shard additionally carries its own lock.
+    A per-document read finds the owning segment with one lookup in the
+    placement maps and delegates to it; df, cf, ``stats()`` and
+    ``terms()`` come from the :class:`MergedStats`; ``doc_ids``,
+    iteration and ``ordinals`` replay global insertion order. Results are
+    byte-identical to one :class:`InvertedIndex` over the same documents
+    (``tests/index/test_sharded_equivalence.py``). :class:`ShardedIndex`
+    adds mutation over live segments,
+    :class:`~repro.index.persist.packed.PackedShardedIndex` attach state
+    over packed ones. A reentrant lock guards the maps and statistics
+    for multi-step reads; each segment carries its own lock.
     """
+
+    #: doc id -> shard position, in global insertion order.
+    _assignments: dict[str, int]
+    #: doc id -> global insertion ordinal, ordered like ``_assignments``.
+    _ordinals: dict[str, int]
 
     def __init__(
         self,
-        shard_count: int = 2,
-        analyzer: Analyzer | None = None,
-        router: ShardRouter | None = None,
+        shards: Sequence,
+        analyzer: Analyzer,
+        router: ShardRouter,
+        merged: MergedStats,
     ):
-        require_positive(shard_count, "shard_count")
-        self.analyzer = analyzer or default_analyzer()
-        self.shards: tuple[InvertedIndex, ...] = tuple(
-            InvertedIndex(self.analyzer) for _ in range(shard_count)
-        )
-        if router is None:
-            router = HashRouter(shard_count)
-        elif router.shard_count != shard_count:
+        if router.shard_count != len(shards):
             raise ConfigurationError(
                 f"router expects {router.shard_count} shards, index has "
-                f"{shard_count}"
+                f"{len(shards)}"
             )
+        self.shards = tuple(shards)
+        self.analyzer = analyzer
         self.router = router
-        #: doc_id -> shard position, in global insertion order.
-        self._assignments: dict[str, int] = {}
-        #: doc_id -> global insertion ordinal, ordered like _assignments.
-        self._ordinals: dict[str, int] = {}
-        self._next_ordinal = 0
-        self._merged = MergedStats()
-        self._version = 0
+        self._merged = merged
         self._lock = threading.RLock()
-
-    # -- construction ---------------------------------------------------------
-
-    @classmethod
-    def from_documents(
-        cls,
-        documents: Iterable[Document],
-        shard_count: int = 2,
-        analyzer: Analyzer | None = None,
-        router: ShardRouter | None = None,
-    ) -> "ShardedIndex":
-        index = cls(shard_count, analyzer, router)
-        index.add_documents(documents)
-        return index
-
-    @classmethod
-    def from_analyzed_placements(
-        cls,
-        placements: Iterable[tuple[Document, list[str], int]],
-        shard_count: int,
-        analyzer: Analyzer | None = None,
-        router: ShardRouter | None = None,
-        cursor: int | None = None,
-    ) -> "ShardedIndex":
-        """Rebuild an index from (document, analyzed terms, shard) triples.
-
-        The hydration hook for the packed v3 persistence layer: segments
-        already store every document's exact term sequence, so hydration
-        rebuilds postings without re-running the analyzer —
-        ``terms`` must be exactly ``analyzer.analyze(document.body)``
-        for each document, in global insertion order. ``cursor``
-        restores a round-robin router's cycle position.
-        """
-        index = cls(shard_count, analyzer, router)
-        count = 0
-        with index._lock:
-            for document, terms, shard in placements:
-                if not 0 <= shard < shard_count:
-                    raise ConfigurationError(
-                        f"placement shard {shard} out of range for "
-                        f"{shard_count} shards"
-                    )
-                if document.doc_id in index._assignments:
-                    raise ValueError(
-                        f"duplicate document id: {document.doc_id!r}"
-                    )
-                index._add_routed(document, terms, shard)
-                count += 1
-            index._version += count
-            if isinstance(index.router, RoundRobinRouter):
-                index.router.cursor = (
-                    cursor if cursor is not None else count % shard_count
-                )
-        return index
 
     @property
     def shard_count(self) -> int:
@@ -375,87 +324,14 @@ class ShardedIndex:
 
     def shard_of(self, doc_id: str) -> int:
         """The shard currently holding ``doc_id``; raises if absent."""
-        with self._lock:
-            shard = self._assignments.get(doc_id)
-            if shard is None:
-                raise DocumentNotFoundError(doc_id)
-            return shard
+        shard = self._assignments.get(doc_id)
+        if shard is None:
+            raise DocumentNotFoundError(doc_id)
+        return shard
 
-    # -- mutation -------------------------------------------------------------
-
-    def add(self, document: Document) -> None:
-        """Route and index ``document``; raises ``ValueError`` on duplicates."""
-        self.add_documents((document,))
-
-    def _add_routed(self, document: Document, terms: list[str], shard: int) -> None:
-        """Place an analyzed document on an explicit shard (lock held)."""
-        self.shards[shard].add_analyzed(document, terms)
-        self._assignments[document.doc_id] = shard
-        self._ordinals[document.doc_id] = self._next_ordinal
-        self._next_ordinal += 1
-        self._merged.add_document(terms)
-
-    def remove(self, doc_id: str) -> Document:
-        """Remove and return a document; raises if absent."""
-        with self._lock:
-            shard_position = self._assignments.get(doc_id)
-            if shard_position is None:
-                raise DocumentNotFoundError(doc_id)
-            shard = self.shards[shard_position]
-            counts = dict(shard.term_frequencies(doc_id))
-            length = shard.document_length(doc_id)
-            document = shard.remove(doc_id)
-            del self._assignments[doc_id]
-            del self._ordinals[doc_id]
-            self._merged.remove_document(counts, length)
-            self._version += 1
-            return document
-
-    def replace(self, document: Document) -> Document:
-        """Swap a document body in place; returns the previous version.
-
-        The document keeps its current shard (routing happens once, at
-        first ingestion), so a stateful router's placements stay stable.
-        The new body is analyzed before the lock is taken, so a body
-        that fails analysis leaves the old document in place.
-        """
-        terms = self.analyzer.analyze(document.body)
-        with self._lock:
-            shard = self.shard_of(document.doc_id)
-            previous = self.remove(document.doc_id)
-            self._add_routed(document, terms, shard)
-            self._version += 1
-            return previous
-
-    def add_documents(self, documents: Iterable[Document]) -> int:
-        """Bulk-ingest ``documents``; returns the number added.
-
-        Every body is analyzed through ``self.analyzer`` before the
-        corpus lock is taken. Under the lock, duplicate ids (against the
-        index or within the batch) raise ``ValueError``, then the batch
-        is routed and placed in input order, so the result is
-        byte-identical to adding the documents one at a time.
-        All-or-nothing: a failure in analysis or the duplicate check
-        leaves the index and the router cursor untouched.
-        """
-        documents = list(documents)
-        analyzed = [
-            self.analyzer.analyze(document.body) for document in documents
-        ]
-        with self._lock:
-            seen: set[str] = set()
-            for document in documents:
-                if document.doc_id in self._assignments or document.doc_id in seen:
-                    raise ValueError(
-                        f"duplicate document id: {document.doc_id!r}"
-                    )
-                seen.add(document.doc_id)
-            for document, terms in zip(documents, analyzed):
-                self._add_routed(
-                    document, terms, self.router.route(document.doc_id)
-                )
-            self._version += len(documents)
-        return len(documents)
+    def shard_sizes(self) -> list[int]:
+        """Documents per shard, by shard position."""
+        return [len(shard) for shard in self.shards]
 
     # -- lookups --------------------------------------------------------------
 
@@ -466,7 +342,7 @@ class ShardedIndex:
         return doc_id in self._assignments
 
     def __len__(self) -> int:
-        return len(self._assignments)
+        return self._merged.document_count
 
     def __iter__(self) -> Iterator[Document]:
         with self._lock:  # snapshot in global insertion order
@@ -534,11 +410,6 @@ class ShardedIndex:
         """The document's live term-frequency vector (treat as read-only)."""
         return self.shards[self.shard_of(doc_id)].term_frequencies(doc_id)
 
-    @property
-    def version(self) -> int:
-        """Mutation counter; caches keyed on it invalidate on any change."""
-        return self._version
-
     def stats(self) -> CollectionStats:
         with self._lock:
             return self._merged.stats()
@@ -547,9 +418,172 @@ class ShardedIndex:
     def average_document_length(self) -> float:
         return self.stats().average_document_length
 
-    def shard_sizes(self) -> list[int]:
-        """Documents per shard, by shard position."""
-        return [len(shard) for shard in self.shards]
+
+class ShardedIndex(SegmentedReader):
+    """N live inverted-index shards behind the single-index surface.
+
+    Drop-in for :class:`~repro.index.inverted.InvertedIndex` everywhere
+    a corpus is read or mutated: rankers, sessions, searchers, storage,
+    and the engine accept either. The read surface is
+    :class:`SegmentedReader`'s; this class adds routing, mutation and
+    the mutation counter, and keeps the placement maps and merged
+    statistics current under the reader's lock.
+    """
+
+    def __init__(
+        self,
+        shard_count: int = 2,
+        analyzer: Analyzer | None = None,
+        router: ShardRouter | None = None,
+    ):
+        require_positive(shard_count, "shard_count")
+        analyzer = analyzer or default_analyzer()
+        super().__init__(
+            [InvertedIndex(analyzer) for _ in range(shard_count)],
+            analyzer,
+            router or HashRouter(shard_count),
+            MergedStats(),
+        )
+        self._assignments = {}
+        self._ordinals = {}
+        self._next_ordinal = 0
+        self._version = 0
+
+    # -- construction ---------------------------------------------------------
+
+    @classmethod
+    def from_documents(
+        cls,
+        documents: Iterable[Document],
+        shard_count: int = 2,
+        analyzer: Analyzer | None = None,
+        router: ShardRouter | None = None,
+    ) -> "ShardedIndex":
+        index = cls(shard_count, analyzer, router)
+        index.add_documents(documents)
+        return index
+
+    @classmethod
+    def from_analyzed_placements(
+        cls,
+        placements: Iterable[tuple[Document, list[str], int]],
+        shard_count: int,
+        analyzer: Analyzer | None = None,
+        router: ShardRouter | None = None,
+        cursor: int | None = None,
+    ) -> "ShardedIndex":
+        """Rebuild an index from (document, analyzed terms, shard) triples.
+
+        The hydration hook for the packed v3 persistence layer: segments
+        already store every document's exact term sequence, so hydration
+        rebuilds postings without re-running the analyzer —
+        ``terms`` must be exactly ``analyzer.analyze(document.body)``
+        for each document, in global insertion order. ``cursor``
+        restores a round-robin router's cycle position.
+        """
+        index = cls(shard_count, analyzer, router)
+        count = 0
+        with index._lock:
+            for document, terms, shard in placements:
+                if not 0 <= shard < shard_count:
+                    raise ConfigurationError(
+                        f"placement shard {shard} out of range for "
+                        f"{shard_count} shards"
+                    )
+                if document.doc_id in index._assignments:
+                    raise ValueError(
+                        f"duplicate document id: {document.doc_id!r}"
+                    )
+                index._add_routed(document, terms, shard)
+                count += 1
+            index._version += count
+            if isinstance(index.router, RoundRobinRouter):
+                index.router.cursor = (
+                    cursor if cursor is not None else count % shard_count
+                )
+        return index
+
+    # Traced and counted per class (perfbench, the search guards).
+    doc_ids = SegmentedReader.doc_ids
+    postings = SegmentedReader.postings
+
+    # -- mutation -------------------------------------------------------------
+
+    def add(self, document: Document) -> None:
+        """Route and index ``document``; raises ``ValueError`` on duplicates."""
+        self.add_documents((document,))
+
+    def _add_routed(self, document: Document, terms: list[str], shard: int) -> None:
+        """Place an analyzed document on an explicit shard (lock held)."""
+        self.shards[shard].add_analyzed(document, terms)
+        self._assignments[document.doc_id] = shard
+        self._ordinals[document.doc_id] = self._next_ordinal
+        self._next_ordinal += 1
+        self._merged.add_document(terms)
+
+    def remove(self, doc_id: str) -> Document:
+        """Remove and return a document; raises if absent."""
+        with self._lock:
+            shard = self.shards[self.shard_of(doc_id)]
+            counts = dict(shard.term_frequencies(doc_id))
+            length = shard.document_length(doc_id)
+            document = shard.remove(doc_id)
+            del self._assignments[doc_id]
+            del self._ordinals[doc_id]
+            self._merged.remove_document(counts, length)
+            self._version += 1
+            return document
+
+    def replace(self, document: Document) -> Document:
+        """Swap a document body in place; returns the previous version.
+
+        The document keeps its current shard (routing happens once, at
+        first ingestion), so a stateful router's placements stay stable.
+        The new body is analyzed before the lock is taken, so a body
+        that fails analysis leaves the old document in place.
+        """
+        terms = self.analyzer.analyze(document.body)
+        with self._lock:
+            shard = self.shard_of(document.doc_id)
+            previous = self.remove(document.doc_id)
+            self._add_routed(document, terms, shard)
+            self._version += 1
+            return previous
+
+    def add_documents(self, documents: Iterable[Document]) -> int:
+        """Bulk-ingest ``documents``; returns the number added.
+
+        Every body is analyzed through ``self.analyzer`` before the
+        corpus lock is taken. Under the lock, duplicate ids (against the
+        index or within the batch) raise ``ValueError``, then the batch
+        is routed and placed in input order, so the result is
+        byte-identical to adding the documents one at a time.
+        All-or-nothing: a failure in analysis or the duplicate check
+        leaves the index and the router cursor untouched.
+        """
+        documents = list(documents)
+        analyzed = [
+            self.analyzer.analyze(document.body) for document in documents
+        ]
+        with self._lock:
+            seen: set[str] = set()
+            for document in documents:
+                if document.doc_id in self._assignments or document.doc_id in seen:
+                    raise ValueError(
+                        f"duplicate document id: {document.doc_id!r}"
+                    )
+                seen.add(document.doc_id)
+            for document, terms in zip(documents, analyzed):
+                self._add_routed(
+                    document, terms, self.router.route(document.doc_id)
+                )
+            self._version += len(documents)
+        return len(documents)
+
+    @property
+    def version(self) -> int:
+        """Mutation counter; caches keyed on it invalidate on any change."""
+        return self._version
 
     def export_snapshot(self) -> ShardedSnapshot:
         """One atomic copy of the full sharded state for persistence.

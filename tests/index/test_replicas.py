@@ -2,25 +2,36 @@
 
 Two layers of coverage:
 
-* **In-process** — `ReplicaIndex` refresh semantics, the generation
-  watcher, delegation, and the read-only contract.
+* **In-process** — `ReplicaIndex` refresh semantics (a swap fails no
+  read in flight), the generation watcher, delegation, and the
+  read-only contract.
 * **Multi-process** — a writer committing new generations while two
   independent reader processes attach the same index files and serve
   queries; readers must agree with each other and with the committed
   corpus at every step.
 """
 
+import gc
 import multiprocessing
+import threading
 import time
+import weakref
 
 import pytest
 
 from repro.core.engine import CredenceEngine, EngineConfig
-from repro.errors import ReadOnlyIndexError
+from repro.errors import DocumentNotFoundError, ReadOnlyIndexError
 from repro.index.document import Document
 from repro.index.inverted import InvertedIndex
-from repro.index.persist import GenerationWatcher, ReplicaIndex, save_v3
+from repro.index.persist import (
+    GenerationWatcher,
+    PackedIndex,
+    ReplicaIndex,
+    save_v3,
+)
 from repro.index.sharding import ShardedIndex
+from repro.ranking.bm25 import Bm25Ranker
+from repro.ranking.lm import DirichletLmRanker
 from tests.core.test_search_equivalence import _corpus
 
 QUERY = "covid outbreak hospital"
@@ -138,6 +149,96 @@ class TestReplicaIndex:
         finally:
             replica.close()
         assert not replica._watcher.is_alive()
+
+
+def _append_off_topic(index, hits):
+    index.add(Document("doc-new", "Gardeners watered the shrubs."))
+    return None
+
+
+def _remove_a_hit(index, hits):
+    index.remove(hits[1]["doc_id"])
+    return hits[1]["doc_id"]
+
+
+class TestSwapDuringRead:
+    """A generation swap fails no read in flight."""
+
+    @pytest.mark.parametrize(
+        "change", (_append_off_topic, _remove_a_hit), ids=("append", "remove")
+    )
+    @pytest.mark.parametrize("ranker_class", (Bm25Ranker, DirichletLmRanker))
+    def test_rank_paused_across_refresh_completes(
+        self, tmp_path, monkeypatch, ranker_class, change
+    ):
+        path = tmp_path / "corpus.idx"
+        index = _seed_index(path, shards=3)
+        replica = ReplicaIndex(path)
+        try:
+            ranker = ranker_class(replica)
+            ranking = ranker.rank(QUERY, K + 1).to_dicts()
+            old_view = weakref.ref(replica._inner)
+            old_segment = weakref.ref(replica._inner.shards[0].segment)
+            paused, resume = threading.Event(), threading.Event()
+            original = PackedIndex.document_length
+
+            def document_length(self, doc_id):
+                if not paused.is_set():
+                    paused.set()
+                    resume.wait(10)
+                return original(self, doc_id)
+
+            monkeypatch.setattr(
+                PackedIndex, "document_length", document_length
+            )
+            outcome = {}
+
+            def rank():
+                try:
+                    outcome["hits"] = ranker.rank(QUERY, K).to_dicts()
+                except Exception as error:  # reported below
+                    outcome["error"] = repr(error)
+
+            reader = threading.Thread(target=rank)
+            reader.start()
+            assert paused.wait(10)
+            removed = change(index, ranking)
+            save_v3(index, path)
+            assert replica.refresh()
+            assert old_segment() is not None  # the paused rank reads it
+            resume.set()
+            reader.join(10)
+            assert not reader.is_alive()
+            # Scored on the old generation, ordered by the new one's
+            # ordinals: a hit the new generation removed drops out, as
+            # for a live removal (test_search_guards.py).
+            kept = [hit for hit in ranking if hit["doc_id"] != removed][:K]
+            expected = [dict(hit, rank=rank) for rank, hit in enumerate(kept, 1)]
+            assert outcome == {"hits": expected}
+            gc.collect()
+            # Released (its mmaps unmapped) once its last reader left.
+            assert old_view() is None and old_segment() is None
+            # A rank that starts after the swap reads the new generation.
+            fresh = ranker.rank(QUERY, K).to_dicts()
+            assert all(hit["doc_id"] in index for hit in fresh)
+        finally:
+            replica.close()
+
+    def test_a_later_read_sees_the_new_generation(self, tmp_path):
+        path = tmp_path / "corpus.idx"
+        index = _seed_index(path, shards=3)
+        replica = ReplicaIndex(path)
+        try:
+            hits = Bm25Ranker(replica).rank(QUERY, K).to_dicts()
+            _remove_a_hit(index, hits)
+            save_v3(index, path)
+            assert replica.refresh()
+            # A request that spans the swap reads both generations: a hit
+            # ranked before it is gone when an explanation reads it after.
+            with pytest.raises(DocumentNotFoundError):
+                replica.document(hits[1]["doc_id"])
+        finally:
+            replica.close()
 
 
 # -- multi-process: one writer, two readers ----------------------------------
