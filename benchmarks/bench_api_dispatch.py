@@ -8,6 +8,10 @@ explainer object directly, and measures how ``explain_batch``
 amortises shared state across items.
 
 Acceptance target: registry dispatch adds **< 5 %** over direct calls.
+The dispatch cost (a few microseconds) is timed on its own, through a
+stub strategy that returns a prebuilt result, rather than as the
+difference of two timings of a whole explanation: that difference is
+well under host noise.
 
 Runs against the BM25 demo engine so the smoke pass in
 ``scripts/check.sh`` stays fast (no neural training).
@@ -19,13 +23,17 @@ import time
 
 import pytest
 
+from repro.core.engine import CredenceEngine
 from repro.core.explain import ExplainRequest
+from repro.core.registry import ExplainerRegistry
 from repro.datasets.covid import DEMO_QUERY, FAKE_NEWS_DOC_ID
 from repro.demo import demo_engine
 from repro.eval.reporting import Table
 
 K = 10
 ROUNDS = 30
+STUB_CALLS = 3000
+STUB_REPEATS = 7
 
 
 @pytest.fixture(scope="module")
@@ -48,33 +56,57 @@ def _best_total(fn, rounds: int = ROUNDS, repeats: int = 5) -> float:
     return best
 
 
+class _StubExplainer:
+    """Returns one prebuilt result: a call costs nothing but dispatch."""
+
+    strategy = "bench/stub"
+
+    def __init__(self, result):
+        self.result = result
+
+    def explain(self, request: ExplainRequest):
+        return self.result
+
+
 def test_dispatch_overhead_under_5_percent(dispatch_engine, capsys):
     """`engine.explain` must cost < 5% over the direct explainer call."""
     engine = dispatch_engine
-    request = ExplainRequest(
-        DEMO_QUERY, FAKE_NEWS_DOC_ID, strategy="document/sentence-removal", k=K
-    )
     explainer = engine.document_explainer
-
-    # Warm the score cache and the registry's memoised instance so both
-    # paths measure steady-state hot-path cost.
-    explainer.explain(DEMO_QUERY, FAKE_NEWS_DOC_ID, n=1, k=K)
-    engine.explain(request)
-
+    # Warm the score cache so the direct path measures its steady state.
+    result = explainer.explain(DEMO_QUERY, FAKE_NEWS_DOC_ID, n=1, k=K)
     direct = _best_total(
         lambda: explainer.explain(DEMO_QUERY, FAKE_NEWS_DOC_ID, n=1, k=K)
+    ) / ROUNDS
+
+    stub = _StubExplainer(result)
+    registry = ExplainerRegistry()
+    registry.register(stub.strategy)(lambda _engine: stub)
+    stubbed = CredenceEngine.from_index(
+        engine.index, engine.config, registry=registry
     )
-    dispatched = _best_total(lambda: engine.explain(request))
-    overhead = (dispatched - direct) / direct
+    request = ExplainRequest(
+        DEMO_QUERY, FAKE_NEWS_DOC_ID, strategy=stub.strategy, k=K
+    )
+    stubbed.explain(request)  # memoise the stub in the registry
+    dispatched = _best_total(
+        lambda: stubbed.explain(request), STUB_CALLS, STUB_REPEATS
+    ) / STUB_CALLS
+    stub_call = _best_total(
+        lambda: stub.explain(request), STUB_CALLS, STUB_REPEATS
+    ) / STUB_CALLS
+    dispatch = dispatched - stub_call
+    overhead = dispatch / direct
 
     table = Table(
-        ["path", "total s", "per call ms", "overhead"],
-        title=f"registry dispatch vs direct call ({ROUNDS} calls, best of 5)",
+        ["path", "per call us", "share of a direct call"],
+        title=(
+            f"registry dispatch vs direct call (direct: best of 5 x {ROUNDS}; "
+            f"dispatch: best of {STUB_REPEATS} x {STUB_CALLS})"
+        ),
     )
-    table.add("direct explainer.explain()", f"{direct:.4f}",
-              f"{1000 * direct / ROUNDS:.3f}", "-")
-    table.add("engine.explain(request)", f"{dispatched:.4f}",
-              f"{1000 * dispatched / ROUNDS:.3f}", f"{100 * overhead:+.2f}%")
+    table.add("direct explainer.explain()", f"{1e6 * direct:.2f}", "-")
+    table.add("engine.explain(request) dispatch", f"{1e6 * dispatch:.2f}",
+              f"{100 * overhead:+.2f}%")
     with capsys.disabled():
         print()
         print(table.render())
@@ -98,10 +130,15 @@ def test_batch_amortises_versus_single_calls(dispatch_engine, capsys):
     ]
     engine.explain_batch(requests)  # warm caches + memoised explainers
 
-    single = _best_total(
-        lambda: [engine.explain(r) for r in requests], rounds=10
-    )
-    batch = _best_total(lambda: engine.explain_batch(requests), rounds=10)
+    # Alternate the two timings so a slow spell of the host hits both.
+    single = batch = float("inf")
+    for _ in range(5):
+        single = min(single, _best_total(
+            lambda: [engine.explain(r) for r in requests], rounds=10, repeats=1
+        ))
+        batch = min(batch, _best_total(
+            lambda: engine.explain_batch(requests), rounds=10, repeats=1
+        ))
 
     responses = engine.explain_batch(requests)
     table = Table(

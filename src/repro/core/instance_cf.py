@@ -20,7 +20,6 @@ their accounting identical to the pre-kernel implementations.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -38,37 +37,28 @@ from repro.core.search import (
     resolve_strategy,
 )
 from repro.core.types import ExplanationSet, InstanceExplanation
+from repro.utils.memo import Memo
 from repro.utils.rng import default_rng
 from repro.utils.validation import require, require_positive
 
+#: (query, k) retrievals one explainer memoizes, so explaining several
+#: documents for the same query pays for retrieval once.
+RETRIEVAL_CAPACITY = 32
 
-_RetrievalCache = dict[tuple[str, int, int], tuple[Ranking, list[str]]]
+#: BM25 document vectors one cosine explainer memoizes: above every
+#: benchmark corpus (5,000 documents at most).
+VECTOR_CAPACITY = 1 << 13
 
 
 def _non_relevant_ids(
-    ranker: Ranker,
-    query: str,
-    k: int,
-    cache: _RetrievalCache | None = None,
+    ranker: Ranker, query: str, k: int
 ) -> tuple[Ranking, list[str]]:
-    """(rank of instance pool, ids of documents ranked k+1 and below).
-
-    When ``cache`` is provided the full-corpus retrieval is memoized per
-    (query, k, index version), so explaining several documents for the
-    same query pays for retrieval once.
-    """
-    key = (query, k, ranker.index.version)
-    if cache is not None and key in cache:
-        return cache[key]
+    """(rank of instance pool, ids of documents ranked k+1 and below)."""
     ranking = ranker.rank(query, min(k, len(ranker.index)))
     relevant = set(ranking.doc_ids)
     non_relevant = [
         doc_id for doc_id in ranker.index.doc_ids if doc_id not in relevant
     ]
-    if cache is not None:
-        if len(cache) >= 32:  # bound the memo
-            cache.clear()
-        cache[key] = (ranking, non_relevant)
     return ranking, non_relevant
 
 
@@ -113,7 +103,10 @@ class Doc2VecNearestExplainer:
 
     ranker: Ranker
     model: "Doc2Vec | Callable[[], Doc2Vec]"
-    _retrieval_cache: _RetrievalCache = field(default_factory=dict, repr=False)
+    _retrievals: Memo = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._retrievals = Memo(RETRIEVAL_CAPACITY, self.ranker.index)
 
     def _resolve_model(self) -> Doc2Vec:
         return self.model() if callable(self.model) else self.model
@@ -130,8 +123,8 @@ class Doc2VecNearestExplainer:
     ) -> ExplanationSet[InstanceExplanation]:
         """The ``n`` most Doc2Vec-similar documents ranked beyond ``k``."""
         require_positive(n, "n")
-        ranking, non_relevant = _non_relevant_ids(
-            self.ranker, query, k, self._retrieval_cache
+        ranking, non_relevant = self._retrievals.get(
+            (query, k), lambda key: _non_relevant_ids(self.ranker, *key)
         )
         if doc_id not in ranking:
             raise RankingError(
@@ -174,38 +167,19 @@ class CosineSampledExplainer:
     ranker: Ranker
     vectorizer: _StatisticVectorizer | None = None
     seed: int | None = None
-    _vector_cache: dict[str, dict[str, float]] = field(
-        default_factory=dict, repr=False
-    )
-    _vector_cache_version: int = field(default=-1, repr=False)
-    _vector_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False
-    )
-    _retrieval_cache: _RetrievalCache = field(default_factory=dict, repr=False)
+    _retrievals: Memo = field(init=False, repr=False)
+    _vectors: Memo = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.vectorizer is None:
             self.vectorizer = Bm25Vectorizer(self.ranker.index)
+        self._retrievals = Memo(RETRIEVAL_CAPACITY, self.ranker.index)
+        # BM25 vectors embed collection statistics, so mixing vectors
+        # computed under different corpus states would skew similarities.
+        self._vectors = Memo(VECTOR_CAPACITY, self.ranker.index)
 
     def _vector(self, doc_id: str) -> dict[str, float]:
-        # BM25 vectors embed collection statistics, so the memo is keyed
-        # on the index's mutation version like the retrieval cache —
-        # mixing vectors computed under different corpus states would
-        # silently skew similarities. The check-clear-compute-store runs
-        # under a lock: this explainer is shared across service workers,
-        # and an unlocked version check would let a thread that started
-        # computing before a mutation store its stale vector into the
-        # freshly cleared cache.
-        with self._vector_lock:
-            version = self.ranker.index.version
-            if self._vector_cache_version != version:
-                self._vector_cache.clear()
-                self._vector_cache_version = version
-            vector = self._vector_cache.get(doc_id)
-            if vector is None:
-                vector = self.vectorizer.vector(doc_id)
-                self._vector_cache[doc_id] = vector
-            return vector
+        return self._vectors.get(doc_id, self.vectorizer.vector)
 
     def explain(
         self,
@@ -226,8 +200,8 @@ class CosineSampledExplainer:
             n <= samples,
             "n must not exceed the sample count (the paper assumes n ≪ s)",
         )
-        ranking, non_relevant = _non_relevant_ids(
-            self.ranker, query, k, self._retrieval_cache
+        ranking, non_relevant = self._retrievals.get(
+            (query, k), lambda key: _non_relevant_ids(self.ranker, *key)
         )
         if doc_id not in ranking:
             raise RankingError(

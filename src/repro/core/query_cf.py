@@ -39,7 +39,11 @@ from repro.core.search import (
     resolve_strategy,
 )
 from repro.core.types import ExplanationSet, QueryAugmentationExplanation
+from repro.utils.memo import Memo
 from repro.utils.validation import require, require_positive
+
+#: (query, k) retrievals one explainer memoizes.
+RETRIEVAL_CAPACITY = 32
 
 
 @dataclass
@@ -64,14 +68,13 @@ class CounterfactualQueryExplainer:
     max_evaluations: int = 2000
     raise_on_budget: bool = False
     search: SearchStrategy | str | None = None
-    _retrieval_cache: dict[tuple[str, int, int], tuple[Ranking, list[Document]]] = field(
-        default_factory=dict, repr=False
-    )
+    _retrievals: Memo = field(init=False, repr=False)
 
     def __post_init__(self):
         require_positive(self.max_terms, "max_terms")
         require_positive(self.max_candidate_terms, "max_candidate_terms")
         require_positive(self.max_evaluations, "max_evaluations")
+        self._retrievals = Memo(RETRIEVAL_CAPACITY, self.ranker.index)
 
     # -- retrieval ------------------------------------------------------------
 
@@ -82,22 +85,18 @@ class CounterfactualQueryExplainer:
 
         Verification loops call this once per (query, k) instead of
         re-running full corpus retrieval for every augmentation checked;
-        the index's mutation version keys the cache so corpus changes
+        the index's mutation version keys the memo so corpus changes
         invalidate it.
         """
-        key = (query, k, self.ranker.index.version)
-        cached = self._retrieval_cache.get(key)
-        if cached is None:
-            ranking = self.ranker.rank(query, min(k, len(self.ranker.index)))
-            documents = [
-                self.ranker.index.document(ranked_id)
-                for ranked_id in ranking.doc_ids
-            ]
-            cached = (ranking, documents)
-            if len(self._retrieval_cache) >= 32:  # bound the memo
-                self._retrieval_cache.clear()
-            self._retrieval_cache[key] = cached
-        return cached
+        return self._retrievals.get((query, k), self._retrieve)
+
+    def _retrieve(self, key: tuple[str, int]) -> tuple[Ranking, list[Document]]:
+        query, k = key
+        ranking = self.ranker.rank(query, min(k, len(self.ranker.index)))
+        documents = [
+            self.ranker.index.document(ranked_id) for ranked_id in ranking.doc_ids
+        ]
+        return ranking, documents
 
     # -- candidate terms ------------------------------------------------------
 

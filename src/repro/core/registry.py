@@ -300,8 +300,12 @@ def _instance_doc2vec(engine: "CredenceEngine") -> Explainer:
 
     # Pass the model as a callable: the memoised explainer then re-reads
     # the engine's version-keyed doc2vec property per request, so corpus
-    # mutations retrain instead of pinning a stale embedding space.
-    explainer = Doc2VecNearestExplainer(engine.ranker, lambda: engine.doc2vec)
+    # mutations retrain instead of pinning a stale embedding space. It
+    # holds the engine weakly — see sentence-removal.
+    engine_ref = weakref.ref(engine)
+    explainer = Doc2VecNearestExplainer(
+        engine.ranker, lambda: engine_ref().doc2vec
+    )
     return _BoundExplainer(
         "instance/doc2vec",
         lambda r: explainer.explain(

@@ -13,20 +13,25 @@ from __future__ import annotations
 from repro.embeddings.similarity import cosine_similarity
 from repro.embeddings.word2vec import Word2Vec, train_word2vec
 from repro.index.inverted import InvertedIndex
+from repro.utils.memo import Memo
+
+#: Query vectors one scorer memoizes.
+QUERY_CAPACITY = 1 << 12
 
 
 class Word2VecSemanticScorer:
     """Callable ``(query, body) -> cosine`` over mean word vectors.
 
-    Scores are cached per (query, body-hash is overkill here — text
-    vectors are cheap); analysis uses the index's analyzer so the
-    embedding vocabulary matches indexed terms.
+    Query vectors are memoized per query (text vectors are cheap, so
+    bodies are not); analysis uses the index's analyzer so the embedding
+    vocabulary matches indexed terms. The model is trained once, so the
+    memo is not keyed on the index version.
     """
 
     def __init__(self, index: InvertedIndex, model: Word2Vec):
         self.index = index
         self.model = model
-        self._query_cache: dict[str, object] = {}
+        self._query_cache = Memo(QUERY_CAPACITY)
 
     @classmethod
     def train(
@@ -44,12 +49,9 @@ class Word2VecSemanticScorer:
         return cls(index, model)
 
     def _query_vector(self, query: str):
-        if query not in self._query_cache:
-            terms = self.index.analyzer.analyze(query)
-            self._query_cache[query] = self.model.text_vector(terms)
-        return self._query_cache[query]
+        return self.model.text_vector(self.index.analyzer.analyze(query))
 
     def __call__(self, query: str, body: str) -> float:
-        query_vector = self._query_vector(query)
+        query_vector = self._query_cache.get(query, self._query_vector)
         body_vector = self.model.text_vector(self.index.analyzer.analyze(body))
         return cosine_similarity(query_vector, body_vector)

@@ -16,6 +16,7 @@ from typing import Mapping
 from repro.index.inverted import InvertedIndex
 from repro.index.similarity import (
     Bm25Similarity,
+    CollectionView,
     FieldStats,
     TermStats,
     TfIdfSimilarity,
@@ -30,14 +31,7 @@ class _StatisticVectorizer(ABC):
 
     def __init__(self, index: InvertedIndex):
         self.index = index
-
-    def _field_stats(self) -> FieldStats:
-        stats = self.index.stats()
-        return FieldStats(
-            document_count=stats.document_count,
-            average_document_length=stats.average_document_length,
-            total_terms=stats.total_terms,
-        )
+        self.view = CollectionView(index)
 
     @abstractmethod
     def _weight(
@@ -52,15 +46,12 @@ class _StatisticVectorizer(ABC):
     def _vector_from_counts(
         self, counts: Counter[str], document_length: int
     ) -> dict[str, float]:
-        field_stats = self._field_stats()
+        view = self.view
+        field_stats = view.field_stats()
         vector: dict[str, float] = {}
         for term, term_frequency in counts.items():
-            term_stats = TermStats(
-                document_frequency=self.index.document_frequency(term),
-                collection_frequency=self.index.collection_frequency(term),
-            )
             weight = self._weight(
-                term_frequency, document_length, term_stats, field_stats
+                term_frequency, document_length, view.term_stats(term), field_stats
             )
             if weight:
                 vector[term] = weight

@@ -18,12 +18,7 @@ from typing import Iterable
 
 from repro.errors import IndexStateError
 from repro.index.inverted import InvertedIndex
-from repro.index.similarity import (
-    Bm25Similarity,
-    FieldStats,
-    Similarity,
-    TermStats,
-)
+from repro.index.similarity import Bm25Similarity, CollectionView, Similarity
 from repro.utils.validation import require_positive
 
 
@@ -42,22 +37,9 @@ class IndexSearcher:
     def __init__(self, index: InvertedIndex, similarity: Similarity | None = None):
         self.index = index
         self.similarity = similarity or Bm25Similarity()
+        self.view = CollectionView(index)
 
     # -- internals -----------------------------------------------------------
-
-    def _field_stats(self) -> FieldStats:
-        stats = self.index.stats()
-        return FieldStats(
-            document_count=stats.document_count,
-            average_document_length=stats.average_document_length,
-            total_terms=stats.total_terms,
-        )
-
-    def _term_stats(self, term: str) -> TermStats:
-        return TermStats(
-            document_frequency=self.index.document_frequency(term),
-            collection_frequency=self.index.collection_frequency(term),
-        )
 
     def _score_sparse(self, query_terms: list[str]) -> dict[str, float]:
         """Term-at-a-time scores for documents matching ≥1 query term.
@@ -71,11 +53,8 @@ class IndexSearcher:
         query order either way, so the merged scores are byte-identical
         for any segment count.
         """
-        field_stats = self._field_stats()
-        term_stats: dict[str, TermStats] = {}
-        for term in query_terms:
-            if term not in term_stats:
-                term_stats[term] = self._term_stats(term)
+        field_stats = self.view.field_stats()
+        term_stats = {term: self.view.term_stats(term) for term in query_terms}
         accumulator: dict[str, float] = defaultdict(float)
         for shard in self.index.shards:
             for term in query_terms:
@@ -108,8 +87,8 @@ class IndexSearcher:
         Fans out per shard like :meth:`_score_sparse`; per-document term
         lookups hit the owning shard, statistics stay corpus-level.
         """
-        field_stats = self._field_stats()
-        term_stats = {term: self._term_stats(term) for term in set(query_terms)}
+        field_stats = self.view.field_stats()
+        term_stats = {term: self.view.term_stats(term) for term in query_terms}
         scores: dict[str, float] = {}
         for shard in self.index.shards:
             for doc_id in shard.doc_ids:

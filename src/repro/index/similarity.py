@@ -5,6 +5,10 @@ statistics, exactly like Lucene's ``Similarity`` plug-point. The searcher
 accumulates these term-at-a-time; the corpus-level rankers in
 :mod:`repro.ranking` reuse the same formulas for scoring *arbitrary* text
 (including perturbed documents that are not in the index).
+
+Those statistics are read through a :class:`CollectionView`, the one
+place that builds :class:`FieldStats` and :class:`TermStats` from an
+index.
 """
 
 from __future__ import annotations
@@ -13,7 +17,12 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+from repro.utils.memo import Memo
 from repro.utils.validation import require_non_negative, require_positive
+
+#: Distinct terms one :class:`CollectionView` memoizes: above every
+#: benchmark corpus's vocabulary (17,920 terms at most).
+TERM_STATS_CAPACITY = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -31,6 +40,41 @@ class FieldStats:
     document_count: int
     average_document_length: float
     total_terms: int
+
+
+class CollectionView:
+    """Field and per-term statistics of one index, memoized per version.
+
+    Two memos keyed on ``index.version``, so repeated scorings never
+    rebuild statistics and a corpus mutation refreshes them.
+    """
+
+    def __init__(self, index):
+        self.index = index
+        self._field = Memo(1, index)
+        self._terms = Memo(TERM_STATS_CAPACITY, index)
+
+    def field_stats(self) -> FieldStats:
+        """Statistics of the indexed field as a whole."""
+        return self._field.get(None, self._build_field_stats)
+
+    def term_stats(self, term: str) -> TermStats:
+        """Statistics of one analyzed term."""
+        return self._terms.get(term, self._build_term_stats)
+
+    def _build_field_stats(self, _key: None) -> FieldStats:
+        stats = self.index.stats()
+        return FieldStats(
+            document_count=stats.document_count,
+            average_document_length=stats.average_document_length,
+            total_terms=stats.total_terms,
+        )
+
+    def _build_term_stats(self, term: str) -> TermStats:
+        return TermStats(
+            document_frequency=self.index.document_frequency(term),
+            collection_frequency=self.index.collection_frequency(term),
+        )
 
 
 class Similarity(ABC):

@@ -20,7 +20,14 @@ import numpy as np
 
 from repro.index.document import Document
 from repro.index.inverted import InvertedIndex
-from repro.index.similarity import Bm25Similarity, DirichletSimilarity, FieldStats, TermStats
+from repro.index.similarity import (
+    Bm25Similarity,
+    CollectionView,
+    DirichletSimilarity,
+    FieldStats,
+    TermStats,
+)
+from repro.utils.memo import Memo
 
 LETOR_FEATURE_NAMES = (
     "sum_tf",
@@ -39,6 +46,9 @@ LETOR_FEATURE_NAMES = (
 
 #: Features a counterfactual may change without touching the text.
 MUTABLE_FEATURES = ("popularity", "freshness", "authority")
+
+#: Prepared queries one extractor keeps: the query being scored.
+PREPARED_CAPACITY = 1
 
 
 @dataclass(frozen=True)
@@ -82,19 +92,12 @@ class LetorFeatureExtractor:
         self.index = index
         self._bm25 = Bm25Similarity()
         self._lm = DirichletSimilarity()
-        self._prepared: tuple[int, str, LetorPreparedQuery] | None = None
+        self.view = CollectionView(index)
+        self._prepared = Memo(PREPARED_CAPACITY, index)
 
     @property
     def dimension(self) -> int:
         return len(LETOR_FEATURE_NAMES)
-
-    def _field_stats(self) -> FieldStats:
-        stats = self.index.stats()
-        return FieldStats(
-            document_count=stats.document_count,
-            average_document_length=stats.average_document_length,
-            total_terms=stats.total_terms,
-        )
 
     def priors(self, document: Document) -> tuple[float, float, float]:
         metadata = document.metadata
@@ -113,27 +116,22 @@ class LetorFeatureExtractor:
         Memoized per (query, index version) so scoring sessions and
         repeated extractions share one analysis.
         """
-        version = self.index.version
-        if self._prepared is not None:
-            cached_version, cached_query, prepared = self._prepared
-            if cached_version == version and cached_query == query:
-                return prepared
+        return self._prepared.get(query, self._prepare)
+
+    def _prepare(self, query: str) -> LetorPreparedQuery:
         terms = tuple(self.index.analyzer.analyze(query))
-        field_stats = self._field_stats()
+        field_stats = self.view.field_stats()
         term_stats: dict[str, TermStats] = {}
         idf: dict[str, float] = {}
         for term in terms:
             if term in term_stats:
                 continue
-            df = self.index.document_frequency(term)
-            term_stats[term] = TermStats(
-                document_frequency=df,
-                collection_frequency=self.index.collection_frequency(term),
-            )
+            stats = term_stats[term] = self.view.term_stats(term)
             idf[term] = math.log(
-                (field_stats.document_count + 1.0) / (df + 1.0)
+                (field_stats.document_count + 1.0)
+                / (stats.document_frequency + 1.0)
             ) + 1.0
-        prepared = LetorPreparedQuery(
+        return LetorPreparedQuery(
             query=query,
             terms=terms,
             distinct=frozenset(terms),
@@ -141,8 +139,6 @@ class LetorFeatureExtractor:
             idf=idf,
             field_stats=field_stats,
         )
-        self._prepared = (version, query, prepared)
-        return prepared
 
     def extract(self, query: str, document: Document) -> LetorVector:
         """Feature vector for a corpus document (priors from metadata)."""

@@ -11,12 +11,12 @@ when the ranker is a neural model).
 from __future__ import annotations
 
 import hashlib
-import threading
 from typing import Sequence
 
 from repro.index.document import Document
 from repro.ranking.base import Ranker, Ranking
 from repro.ranking.session import NaiveScoringSession, ScoringSession
+from repro.utils.memo import Memo
 from repro.utils.validation import require_positive
 
 
@@ -58,21 +58,17 @@ class CountingRanker(Ranker):
 class ScoreCache(Ranker):
     """Memoises ``score_text`` by (query, sha1(text)).
 
-    The cache is bounded: when ``max_entries`` is exceeded the oldest
-    half is discarded (simple segmented eviction — predictable and
-    allocation-free compared to per-hit LRU bookkeeping).
-
-    Invalidation: scores embed collection statistics (df, avgdl), so
-    the whole cache is dropped when the index's mutation ``version``
-    moves — a corpus add/remove through the runtime mutation surface
+    The scores live in a :class:`~repro.utils.memo.Memo` of
+    ``max_entries``: a full cache drops its oldest half, and since
+    scores embed collection statistics (df, avgdl) the cache empties
+    when the index's mutation ``version`` moves — a corpus add/remove
     must never serve pre-mutation scores. A score whose computation
     straddled a mutation is returned but not cached.
 
-    Thread-safe: the cache dict and hit/miss counters are mutated under
-    a lock (the service layer scores from multiple worker threads), but
-    the wrapped ranker computes *outside* the lock so concurrent misses
-    on different texts don't serialise. Two threads racing the same
-    uncached key may both compute it — idempotent, so harmless.
+    Thread-safe: the wrapped ranker computes outside the memo's lock,
+    so concurrent misses on different texts don't serialise. Two
+    threads racing the same uncached key may both compute it —
+    idempotent, so harmless.
     """
 
     def __init__(self, inner: Ranker, max_entries: int = 100_000):
@@ -80,44 +76,28 @@ class ScoreCache(Ranker):
         super().__init__(inner.index)
         self.inner = inner
         self.max_entries = max_entries
-        self._cache: dict[tuple[str, str], float] = {}
-        self._cache_version = inner.index.version
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
+        self._scores = Memo(max_entries, inner.index)
 
     @property
     def name(self) -> str:
         return f"Cached({self.inner.name})"
 
+    @property
+    def hits(self) -> int:
+        return self._scores.hits
+
+    @property
+    def misses(self) -> int:
+        return self._scores.misses
+
     def rank(self, query: str, k: int) -> Ranking:
         return self.inner.rank(query, k)
 
-    def _check_version_locked(self) -> int:
-        version = self.index.version
-        if version != self._cache_version:
-            self._cache.clear()
-            self._cache_version = version
-        return version
-
     def score_text(self, query: str, body: str) -> float:
-        key = (query, _text_key(body))
-        with self._lock:
-            version = self._check_version_locked()
-            cached = self._cache.get(key)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            self.misses += 1
-        score = self.inner.score_text(query, body)
-        with self._lock:
-            if self._check_version_locked() != version:
-                return score  # straddled a mutation; correct now, stale later
-            if len(self._cache) >= self.max_entries:
-                for stale in list(self._cache)[: self.max_entries // 2]:
-                    del self._cache[stale]
-            self._cache[key] = score
-        return score
+        return self._scores.get(
+            (query, _text_key(body)),
+            lambda _key: self.inner.score_text(query, body),
+        )
 
     def scoring_session(
         self, query: str, pool: Sequence[Document]

@@ -14,7 +14,7 @@ scoring sessions can amortize repeated work:
   field/term statistics (memoized per query and index version);
 * :class:`AnalyzedDocument` captures everything extraction needs about a
   document's text (term list, counts, length, bigram set), memoized per
-  corpus document via :meth:`FeatureExtractor.document_data`.
+  corpus document body via :meth:`FeatureExtractor.document_data`.
 
 ``extract(query, body)`` simply composes the two, so the one-shot path
 and the session path run the identical scoring kernel.
@@ -33,15 +33,24 @@ from repro.index.document import Document
 from repro.index.inverted import InvertedIndex
 from repro.index.similarity import (
     Bm25Similarity,
+    CollectionView,
     DirichletSimilarity,
     FieldStats,
     TermStats,
     TfIdfSimilarity,
 )
 from repro.text.ngrams import ngrams
+from repro.utils.memo import Memo
 
 #: Signature of the optional semantic channel: (query, body) -> similarity.
 SemanticScorer = Callable[[str, str], float]
+
+#: Prepared queries one extractor keeps: the query being scored.
+PREPARED_CAPACITY = 1
+
+#: Corpus document analyses one extractor memoizes: above every
+#: benchmark corpus (5,000 documents at most).
+DOCUMENT_MEMO_CAPACITY = 1 << 13
 
 FEATURE_NAMES = (
     "bm25",
@@ -123,49 +132,33 @@ class FeatureExtractor:
         self._bm25 = Bm25Similarity()
         self._tfidf = TfIdfSimilarity()
         self._lm = DirichletSimilarity()
-        # Single-slot prepared-query memo + per-doc analysis memo, both
-        # invalidated by the index's mutation version.
-        self._prepared: tuple[int, str, PreparedQuery] | None = None
-        self._doc_data: dict[str, tuple[str, AnalyzedDocument]] = {}
-        self._doc_data_version = -1
+        self.view = CollectionView(index)
+        self._prepared = Memo(PREPARED_CAPACITY, index)
+        self._documents = Memo(DOCUMENT_MEMO_CAPACITY, index)
 
     @property
     def dimension(self) -> int:
         return len(FEATURE_NAMES)
 
-    def _field_stats(self) -> FieldStats:
-        stats = self.index.stats()
-        return FieldStats(
-            document_count=stats.document_count,
-            average_document_length=stats.average_document_length,
-            total_terms=stats.total_terms,
-        )
-
     # -- prepared inputs -----------------------------------------------------
 
     def prepare(self, query: str) -> PreparedQuery:
         """Analyze ``query`` and snapshot its collection statistics."""
-        version = self.index.version
-        if self._prepared is not None:
-            cached_version, cached_query, prepared = self._prepared
-            if cached_version == version and cached_query == query:
-                return prepared
+        return self._prepared.get(query, self._prepare)
+
+    def _prepare(self, query: str) -> PreparedQuery:
         terms = tuple(self.index.analyzer.analyze(query))
-        field_stats = self._field_stats()
+        field_stats = self.view.field_stats()
         term_stats: dict[str, TermStats] = {}
         idf: dict[str, float] = {}
         for term in terms:
             if term in term_stats:
                 continue
-            stats = TermStats(
-                document_frequency=self.index.document_frequency(term),
-                collection_frequency=self.index.collection_frequency(term),
-            )
-            term_stats[term] = stats
+            stats = term_stats[term] = self.view.term_stats(term)
             idf[term] = self._bm25.idf(
                 stats.document_frequency, field_stats.document_count
             )
-        prepared = PreparedQuery(
+        return PreparedQuery(
             query=query,
             terms=terms,
             distinct=frozenset(terms),
@@ -176,24 +169,14 @@ class FeatureExtractor:
             idf=idf,
             field_stats=field_stats,
         )
-        self._prepared = (version, query, prepared)
-        return prepared
 
     def analyze_document(self, body: str) -> AnalyzedDocument:
         """Analyze arbitrary document text (no memoization)."""
         return AnalyzedDocument.from_terms(self.index.analyzer.analyze(body))
 
     def document_data(self, document: Document) -> AnalyzedDocument:
-        """Memoized analysis of a corpus document (keyed by id + body)."""
-        if self._doc_data_version != self.index.version:
-            self._doc_data = {}
-            self._doc_data_version = self.index.version
-        cached = self._doc_data.get(document.doc_id)
-        if cached is not None and cached[0] == document.body:
-            return cached[1]
-        data = self.analyze_document(document.body)
-        self._doc_data[document.doc_id] = (document.body, data)
-        return data
+        """Memoized analysis of a corpus document (keyed by its body)."""
+        return self._documents.get(document.body, self.analyze_document)
 
     # -- extraction ----------------------------------------------------------
 

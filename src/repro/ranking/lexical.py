@@ -7,9 +7,9 @@ statistics. Substituted/perturbed documents are deliberately scored
 against the *original* collection statistics — the same behaviour as the
 demo, which re-ranks edited documents without re-indexing the corpus.
 
-Collection statistics (:class:`FieldStats` and per-term
-:class:`TermStats`) are memoized on the ranker and invalidated via the
-index's mutation :attr:`~repro.index.inverted.InvertedIndex.version`, so
+Collection statistics are read from the searcher's
+:class:`~repro.index.similarity.CollectionView`, memoized per index
+mutation :attr:`~repro.index.inverted.InvertedIndex.version`, so
 repeated scorings never rebuild them; :class:`LexicalScoringSession`
 additionally reuses the index's stored term vectors and per-sentence
 term counters so counterfactual perturbations never re-tokenize
@@ -18,14 +18,13 @@ unchanged text.
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from typing import Collection, Mapping, Sequence
 
 from repro.index.document import Document
 from repro.index.inverted import InvertedIndex
 from repro.index.searcher import IndexSearcher
-from repro.index.similarity import FieldStats, Similarity, TermStats
+from repro.index.similarity import CollectionView, Similarity
 from repro.ranking.base import RankedDocument, Ranker, Ranking
 from repro.ranking.session import IncrementalScoringSession
 from repro.utils.validation import require_positive
@@ -38,10 +37,6 @@ class LexicalRanker(Ranker):
         super().__init__(index)
         self.similarity = similarity
         self._searcher = IndexSearcher(index, similarity)
-        self._stats_version = -1
-        self._field_stats: FieldStats | None = None
-        self._term_stats: dict[str, TermStats] = {}
-        self._stats_lock = threading.Lock()
 
     def rank(self, query: str, k: int) -> Ranking:
         require_positive(k, "k")
@@ -53,44 +48,9 @@ class LexicalRanker(Ranker):
             ]
         )
 
-    def collection_view(self) -> tuple[FieldStats, dict[str, TermStats]]:
-        """Memoized (field stats, term-stats cache) for the current index.
-
-        Rebuilt only when the index's mutation version changes, so the
-        per-call :meth:`score_text` path no longer re-fetches
-        ``index.stats()`` and re-creates stats objects for every scoring.
-        The rebuild-and-return happens under a lock so concurrent
-        scorers never observe a torn (stats, cache) pair mid-rebuild.
-        """
-        with self._stats_lock:
-            # Capture the version BEFORE reading stats: re-reading it
-            # afterwards could bind stats computed at version V to a
-            # concurrent writer's V+1, pinning stale collection stats
-            # until the next mutation. Capture-before is self-correcting:
-            # at worst one extra rebuild on the next call.
-            version = self.index.version
-            if self._stats_version != version:
-                stats = self.index.stats()
-                self._field_stats = FieldStats(
-                    document_count=stats.document_count,
-                    average_document_length=stats.average_document_length,
-                    total_terms=stats.total_terms,
-                )
-                self._term_stats = {}
-                self._stats_version = version
-            return self._field_stats, self._term_stats
-
-    def _term_stats_for(
-        self, term: str, cache: dict[str, TermStats]
-    ) -> TermStats:
-        term_stats = cache.get(term)
-        if term_stats is None:
-            term_stats = TermStats(
-                document_frequency=self.index.document_frequency(term),
-                collection_frequency=self.index.collection_frequency(term),
-            )
-            cache[term] = term_stats
-        return term_stats
+    def collection_view(self) -> CollectionView:
+        """The searcher's memoized collection statistics."""
+        return self._searcher.view
 
     def score_terms(
         self,
@@ -104,16 +64,16 @@ class LexicalRanker(Ranker):
         :class:`LexicalScoringSession`: identical term order and float
         accumulation, so both paths produce bit-identical scores.
         """
-        field_stats, term_cache = self.collection_view()
+        view = self._searcher.view
+        field_stats = view.field_stats()
         needs_all = self.similarity.needs_all_query_terms()
         score = 0.0
         for term in query_terms:
             term_frequency = doc_terms.get(term, 0)
             if term_frequency == 0 and not needs_all:
                 continue
-            term_stats = self._term_stats_for(term, term_cache)
             score += self.similarity.score(
-                term_frequency, doc_length, term_stats, field_stats
+                term_frequency, doc_length, view.term_stats(term), field_stats
             )
         return score
 

@@ -8,23 +8,22 @@ this sentence contain?"), and that question only has a consistent answer
 if everyone analyses text identically.
 
 Token analysis is context-free, so each analyzer memoizes it per
-distinct surface token (:class:`TokenMemo`): every path — explain, rank,
-serve and ingest — normalizes and stems a surface form once.
+distinct surface token (:attr:`Analyzer.memo`): every path — explain,
+rank, serve and ingest — normalizes and stems a surface form once.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, fields
-from itertools import islice
 
 from repro.text.stemmer import PorterStemmer
 from repro.text.stopwords import ENGLISH_STOPWORDS
 from repro.text.tokenizer import Token, token_texts, tokenize
 from repro.text.unicode import normalize_text
+from repro.utils.memo import Memo
 
-#: Distinct surface tokens one analyzer memoizes. A full memo drops its
-#: oldest half (the segmented eviction of ``ScoreCache``).
+#: Distinct surface tokens one analyzer memoizes (read when an analyzer
+#: is built).
 MEMO_CAPACITY = 1 << 16
 
 _ABSENT = object()
@@ -46,57 +45,6 @@ class AnalyzedToken:
         return self.token.end
 
 
-class TokenMemo:
-    """Bounded memo of raw token text → analyzed term (None if filtered).
-
-    Lookups read :attr:`terms` without a lock. Inserts, evictions and
-    the counters take one lock, once per analyzed text. A lookup racing
-    an eviction either finds its entry or recomputes it; a key's value
-    never changes, so it can never read a wrong term. ``hits`` and
-    ``misses`` count token lookups; a miss is one fresh analysis.
-    """
-
-    def __init__(self) -> None:
-        self.terms: dict[str, str | None] = {}
-        self.capacity = MEMO_CAPACITY
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._lock = threading.Lock()
-
-    def record(self, lookups: int, fresh: dict[str, str | None]) -> None:
-        """Count one text's ``lookups`` and insert its ``fresh`` terms."""
-        with self._lock:
-            self.hits += lookups - len(fresh)
-            self.misses += len(fresh)
-            terms = self.terms
-            for raw, term in fresh.items():
-                if raw in terms:  # a concurrent text analyzed it first
-                    continue
-                if len(terms) >= self.capacity:
-                    stale = list(islice(terms, len(terms) - self.capacity // 2))
-                    for key in stale:
-                        del terms[key]
-                    self.evictions += len(stale)
-                terms[raw] = term
-
-    def stats(self) -> dict:
-        """Size and counters for ``GET /metrics``."""
-        with self._lock:
-            return {
-                "entries": len(self.terms),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-    def __reduce__(self):
-        # A copied or unpickled analyzer starts with an empty memo (a
-        # lock cannot be pickled; the terms are cheap to recompute).
-        return (TokenMemo, ())
-
-
 @dataclass(frozen=True)
 class Analyzer:
     """Configurable text-analysis pipeline.
@@ -106,9 +54,10 @@ class Analyzer:
     that need surface forms (e.g. the query-augmentation explainer shows
     users real document terms, not stems).
 
-    The configuration is immutable, so the :class:`TokenMemo` can never
-    outlive the settings its terms were computed under;
-    ``dataclasses.replace`` builds an analyzer with a fresh memo.
+    :attr:`memo` maps a raw token to its term (None if filtered). The
+    configuration is immutable, so the memo can never outlive the
+    settings its terms were computed under; ``dataclasses.replace``
+    builds an analyzer with a fresh memo.
     """
 
     lowercase: bool = True
@@ -117,8 +66,11 @@ class Analyzer:
     stopwords: frozenset[str] = ENGLISH_STOPWORDS
     min_token_length: int = 1
     _stemmer: PorterStemmer = field(default_factory=PorterStemmer, repr=False)
-    memo: TokenMemo = field(
-        default_factory=TokenMemo, init=False, compare=False, repr=False
+    memo: Memo = field(
+        default_factory=lambda: Memo(MEMO_CAPACITY),
+        init=False,
+        compare=False,
+        repr=False,
     )
 
     def analyze_token(self, text: str) -> str | None:
@@ -146,7 +98,7 @@ class Analyzer:
     def _terms(self, raws: list[str]) -> list[str | None]:
         """The memoized term (or None) of every raw token, in order."""
         memo = self.memo
-        known = memo.terms
+        known = memo.entries
         fresh: dict[str, str | None] = {}
         terms: list[str | None] = []
         append = terms.append

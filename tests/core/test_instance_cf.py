@@ -112,3 +112,18 @@ class TestCosineSampled:
             QUERY, FAKE_NEWS_DOC_ID, n=1, k=10, samples=30
         )[0]
         assert explanation.method == "cosine_sampled"
+
+
+def test_vector_memo_is_bounded(ranker, monkeypatch):
+    from repro.core import instance_cf
+
+    reference = CosineSampledExplainer(ranker, seed=5)
+    monkeypatch.setattr(instance_cf, "VECTOR_CAPACITY", 8, raising=False)
+    bounded = CosineSampledExplainer(ranker, seed=5)
+    for samples in (40, 30):
+        expected = reference.explain(
+            QUERY, FAKE_NEWS_DOC_ID, n=3, k=10, samples=samples
+        )
+        result = bounded.explain(QUERY, FAKE_NEWS_DOC_ID, n=3, k=10, samples=samples)
+        assert [e.to_dict() for e in result] == [e.to_dict() for e in expected]
+    assert len(bounded._vectors.entries) <= 8

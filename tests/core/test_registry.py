@@ -168,6 +168,50 @@ class TestNoEngineRetention:
         assert ref() is None
 
 
+def _serve_one_request(documents, strategy: str):
+    """Weak references to an engine and its index after it served one
+    ``strategy`` request and was dropped."""
+    import weakref
+
+    from repro.datasets.covid import DEMO_QUERY, FAKE_NEWS_DOC_ID
+
+    engine = CredenceEngine(
+        documents, EngineConfig(ranker="bm25", seed=5, doc2vec_epochs=2)
+    )
+    engine.explain(
+        ExplainRequest(DEMO_QUERY, FAKE_NEWS_DOC_ID, strategy=strategy, samples=20)
+    )
+    return weakref.ref(engine), weakref.ref(engine.index)
+
+
+class TestEngineRelease:
+    def test_doc2vec_explainer_does_not_pin_the_engine(self, covid_documents):
+        import gc
+
+        engine, index = _serve_one_request(covid_documents, "instance/doc2vec")
+        gc.collect()
+        assert engine() is None and index() is None
+
+    @pytest.mark.parametrize(
+        "strategy",
+        sorted(EXPECTED_BUILTINS - {"features/ltr"}),
+    )
+    def test_a_dropped_engine_frees_its_index_without_the_collector(
+        self, covid_documents, strategy
+    ):
+        # No memo may reference its owner: with the cycle collector off,
+        # reference counting alone must free what one request built.
+        import gc
+
+        gc.collect()
+        gc.disable()
+        try:
+            engine, index = _serve_one_request(covid_documents, strategy)
+            assert engine() is None and index() is None
+        finally:
+            gc.enable()
+
+
 class TestLtrAvailability:
     @pytest.fixture(scope="class")
     def ltr_engine(self):

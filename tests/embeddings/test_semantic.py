@@ -52,3 +52,15 @@ class TestSemanticScorer:
         )
         ranking = engine.rank("covid outbreak", k=5)
         assert len(ranking) == 5
+
+
+def test_query_memo_is_bounded(scorer, module_index, monkeypatch):
+    from repro.embeddings import semantic
+
+    monkeypatch.setattr(semantic, "QUERY_CAPACITY", 2, raising=False)
+    bounded = Word2VecSemanticScorer(module_index, scorer.model)
+    queries = ["covid outbreak", "vaccine trial", "flu season", "5g towers"]
+    body = "hospitals treating covid patients after the outbreak"
+    for query in queries * 2:
+        assert bounded(query, body) == scorer(query, body)
+    assert len(bounded._query_cache.entries) <= 2

@@ -371,7 +371,7 @@ class TestIngestTokenMemo:
     def test_filtered_tokens_are_cached_as_none(self):
         analyzer = default_analyzer()
         assert analyzer.analyze("the the the") == []
-        assert analyzer.memo.terms == {"the": None}
+        assert analyzer.memo.entries == {"the": None}
 
     def test_bulk_ingest_fills_the_index_analyzer_memo(self, corpus):
         index = ShardedIndex(shard_count=2)

@@ -64,3 +64,34 @@ class TestRankerNames:
 
     def test_lm_name_includes_mu(self, tiny_index):
         assert "mu=1000" in DirichletLmRanker(tiny_index).name
+
+
+def test_term_statistics_stay_bounded_on_a_packed_engine(
+    covid_documents, tmp_path, monkeypatch
+):
+    from repro.core.engine import CredenceEngine, EngineConfig
+    from repro.index import similarity
+    from repro.index.sharding import ShardedIndex
+    from repro.index.storage import save_index
+
+    path = tmp_path / "corpus.idx"
+    save_index(ShardedIndex.from_documents(covid_documents, 2), path)
+    config = EngineConfig(ranker="bm25", seed=5)
+    reference = CredenceEngine.load(path, config)
+    monkeypatch.setattr(similarity, "TERM_STATS_CAPACITY", 4, raising=False)
+    bounded = CredenceEngine.load(path, config)
+    body = "Officials said the covid outbreak filled hospitals across the city."
+    try:
+        for query in [
+            "covid outbreak", "vaccine trial", "flu season", "5g towers",
+            "stock markets", "hospital patients",
+        ] * 2:
+            assert list(bounded.rank(query, 10)) == list(reference.rank(query, 10))
+            assert bounded.ranker.score_text(query, body) == (
+                reference.ranker.score_text(query, body)
+            )
+        view = bounded.ranker.inner.collection_view()
+        assert len(view._terms.entries) <= 4
+    finally:
+        reference.index.close()
+        bounded.index.close()

@@ -107,3 +107,20 @@ class TestTrainedBehaviour:
 
     def test_name_describes_architecture(self, trained):
         assert "NeuralReranker" in trained.name
+
+
+def test_document_memo_is_bounded(trained, tiny_module_index, monkeypatch):
+    from repro.ranking import features
+
+    monkeypatch.setattr(features, "DOCUMENT_MEMO_CAPACITY", 2, raising=False)
+    bounded = NeuralReranker(tiny_module_index, trained.weights)
+    pool = list(tiny_module_index)
+    for query in QUERIES * 2:
+        expected = trained.scoring_session(query, pool)
+        session = bounded.scoring_session(query, pool)
+        assert list(session.baseline()) == list(expected.baseline())
+        for document in pool:
+            assert session.rank_without_sentences(document.doc_id, {0}) == (
+                expected.rank_without_sentences(document.doc_id, {0})
+            )
+    assert len(bounded.features._documents.entries) <= 2

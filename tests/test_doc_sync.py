@@ -200,6 +200,7 @@ REMOVED_SURFACES = (
     "analysis_pool",
     "analyze_partitions",
     "MAX_INGEST_WORKERS",
+    "TokenMemo",
 )
 
 

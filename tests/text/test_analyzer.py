@@ -145,7 +145,7 @@ class TestTokenMemo:
         assert stats["capacity"] == 4
         assert stats["entries"] <= 4
         assert stats["evictions"] == 10 - stats["entries"]
-        assert list(analyzer.memo.terms) == words[-stats["entries"]:]
+        assert list(analyzer.memo.entries) == words[-stats["entries"]:]
         assert analyzer.analyze("word0 word9") == ["word0", "word9"]
 
     def test_concurrent_analysis_with_evictions_is_exact(self):
