@@ -81,12 +81,12 @@ class Analyzer:
         method memoize it per distinct surface form with byte-identical
         results.
         """
-        term = normalize_text(text, casefold=self.lowercase)
-        if any(ch.isspace() for ch in term):
-            # NFKC can expand a single word character into a sequence
-            # containing a space (e.g. U+037A → " ι"); an index term with
-            # embedded whitespace could never match a tokenized query.
-            term = "".join(ch for ch in term if not ch.isspace())
+        # NFKC can expand a single word character into a sequence
+        # containing a space (e.g. U+037A → " ι"); an index term with
+        # embedded whitespace could never match a tokenized query, so
+        # every whitespace character goes (``split`` and ``isspace``
+        # share one definition of whitespace).
+        term = "".join(normalize_text(text, casefold=self.lowercase).split())
         if len(term) < self.min_token_length:
             return None
         if self.remove_stopwords and term in self.stopwords:

@@ -38,7 +38,12 @@ def normalize_text(text: str, *, casefold: bool = True) -> str:
     (by default) case folding. Length may change; this is applied to
     individual *tokens* (not whole documents) wherever offsets must remain
     valid.
+
+    ASCII input returns at once: NFKC, the punctuation map and accent
+    stripping leave it unchanged, and on ASCII ``casefold`` is ``lower``.
     """
+    if text.isascii():
+        return text.lower() if casefold else text
     text = unicodedata.normalize("NFKC", text)
     text = text.translate(_PUNCT_MAP)
     text = strip_accents(text)
