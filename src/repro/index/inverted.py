@@ -17,6 +17,7 @@ from repro.errors import DocumentNotFoundError
 from repro.index.document import Document
 from repro.index.postings import Posting, PostingsList
 from repro.index.stats import CollectionStats
+from repro.obs.trace import span as obs_span
 from repro.text.analyzer import Analyzer, default_analyzer
 
 
@@ -46,6 +47,21 @@ class IndexSnapshot:
     version: int
 
 
+def analyze_batch(
+    analyzer: Analyzer, documents: list[Document], span
+) -> list[list[str]]:
+    """Every document's analyzed terms, in order, for bulk ingest.
+
+    Sets ``new_tokens`` on the ingest ``span``: the analyzer-memo misses
+    while the batch analyzed, i.e. the surface tokens normalized and
+    stemmed rather than looked up.
+    """
+    misses = analyzer.memo.misses
+    analyzed = [analyzer.analyze(document.body) for document in documents]
+    span.set(new_tokens=analyzer.memo.misses - misses)
+    return analyzed
+
+
 class InvertedIndex:
     """A positional inverted index over :class:`Document` bodies.
 
@@ -66,6 +82,11 @@ class InvertedIndex:
         self._total_terms = 0
         self._version = 0
         self._stats_cache: CollectionStats | None = None
+        #: ``(p,)`` for every position ``p`` a document has reached so
+        #: far. Most postings hold one position; sharing their tuples
+        #: spares ingest one allocation per posting, and with it part of
+        #: the cyclic collector's passes over the growing index.
+        self._single_positions: list[tuple[int]] = []
         # Guards mutations, the memoized stats, and the multi-step read
         # accessors: the service layer reads from worker threads while
         # an admin path may add/remove documents. Locked reads can never
@@ -90,41 +111,61 @@ class InvertedIndex:
         """Index ``document``; raises ``ValueError`` on duplicate ids."""
         self.add_documents((document,))
 
-    def add_analyzed(self, document: Document, terms: list[str]) -> None:
+    def add_analyzed(self, document: Document, terms: list[str]) -> Counter[str]:
         """Index ``document`` from an already-analyzed term sequence.
 
         ``terms`` must be exactly ``self.analyzer.analyze(document.body)``;
         callers that analyze up front (bulk ingestion, the sharded
         backend) use this to avoid re-analyzing inside the index.
-        """
-        positions: dict[str, list[int]] = {}
-        for position, term in enumerate(terms):
-            positions.setdefault(term, []).append(position)
 
+        One pass over ``terms`` collects each term's positions in
+        first-occurrence order; the term frequencies, the document's
+        term-frequency ``Counter`` and the postings are all read from
+        them. Returns that ``Counter`` (the index's live state: treat it
+        as read-only), so a caller keeping its own statistics need not
+        count the terms again.
+        """
+        doc_id = document.doc_id
+        counts: Counter[str] = Counter()
         with self._lock:
-            if document.doc_id in self._documents:
-                raise ValueError(
-                    f"duplicate document id: {document.doc_id!r}"
-                )
-            self._documents[document.doc_id] = document
-            self._ordinals[document.doc_id] = self._next_ordinal
+            if doc_id in self._documents:
+                raise ValueError(f"duplicate document id: {doc_id!r}")
+            singles = self._single_positions
+            if len(singles) < len(terms):
+                singles.extend((p,) for p in range(len(singles), len(terms)))
+            # A term seen once holds its shared 1-tuple; a second
+            # occurrence turns that into a list.
+            positions: dict[str, tuple[int] | list[int]] = {}
+            for position, term in enumerate(terms):
+                seen = positions.get(term)
+                if seen is None:
+                    positions[term] = singles[position]
+                elif type(seen) is tuple:
+                    positions[term] = [seen[0], position]
+                else:
+                    seen.append(position)
+            self._documents[doc_id] = document
+            self._ordinals[doc_id] = self._next_ordinal
             self._next_ordinal += 1
-            self._doc_lengths[document.doc_id] = len(terms)
-            self._doc_term_freqs[document.doc_id] = Counter(terms)
+            self._doc_lengths[doc_id] = len(terms)
+            self._doc_term_freqs[doc_id] = counts
             self._total_terms += len(terms)
             self._version += 1
             self._stats_cache = None
-            for term, term_positions in positions.items():
-                postings = self._postings.get(term)
+            index = self._postings
+            for term, seen in positions.items():
+                frequency = counts[term] = len(seen)
+                postings = index.get(term)
                 if postings is None:
-                    postings = self._postings[term] = PostingsList(term)
+                    postings = index[term] = PostingsList(term)
                 postings.add(
                     Posting(
-                        document.doc_id,
-                        len(term_positions),
-                        tuple(term_positions),
+                        doc_id,
+                        frequency,
+                        seen if frequency == 1 else tuple(seen),
                     )
                 )
+        return counts
 
     def remove(self, doc_id: str) -> Document:
         """Remove and return a document; raises if absent."""
@@ -165,22 +206,22 @@ class InvertedIndex:
         taken; under the lock, duplicate ids (against the index or within
         the batch) raise ``ValueError`` and the batch is placed in input
         order. All-or-nothing: a failure in analysis or the duplicate
-        check leaves the index untouched.
+        check leaves the index untouched. Traced as one ``index/ingest``
+        span carrying ``documents`` and ``new_tokens``.
         """
         documents = list(documents)
-        analyzed = [
-            self.analyzer.analyze(document.body) for document in documents
-        ]
-        with self._lock:
-            seen: set[str] = set()
-            for document in documents:
-                if document.doc_id in self._documents or document.doc_id in seen:
-                    raise ValueError(
-                        f"duplicate document id: {document.doc_id!r}"
-                    )
-                seen.add(document.doc_id)
-            for document, terms in zip(documents, analyzed):
-                self.add_analyzed(document, terms)
+        with obs_span("index/ingest", documents=len(documents)) as span:
+            analyzed = analyze_batch(self.analyzer, documents, span)
+            with self._lock:
+                seen: set[str] = set()
+                for document in documents:
+                    if document.doc_id in self._documents or document.doc_id in seen:
+                        raise ValueError(
+                            f"duplicate document id: {document.doc_id!r}"
+                        )
+                    seen.add(document.doc_id)
+                for document, terms in zip(documents, analyzed):
+                    self.add_analyzed(document, terms)
         return len(documents)
 
     # -- lookups -------------------------------------------------------------

@@ -12,9 +12,13 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Posting:
-    """One document's entry in a term's postings list."""
+    """One document's entry in a term's postings list.
+
+    Slotted: an index holds one per (term, document) pair, and a posting
+    without a ``__dict__`` takes 56 bytes instead of 96.
+    """
 
     doc_id: str
     frequency: int

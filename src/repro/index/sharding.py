@@ -41,9 +41,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import ConfigurationError, DocumentNotFoundError
 from repro.index.document import Document
-from repro.index.inverted import IndexSnapshot, InvertedIndex
+from repro.index.inverted import IndexSnapshot, InvertedIndex, analyze_batch
 from repro.index.postings import Posting, PostingsList
 from repro.index.stats import CollectionStats
+from repro.obs.trace import span as obs_span
 from repro.text.analyzer import Analyzer, default_analyzer
 from repro.utils.validation import require_positive
 
@@ -165,11 +166,15 @@ class MergedStats:
         self.document_count = document_count
         self.total_terms = total_terms
 
-    def add_document(self, terms: Sequence[str]) -> None:
-        """Account for one added document given its analyzed terms."""
-        counts: dict[str, int] = {}
-        for term in terms:  # first-occurrence order, like postings creation
-            counts[term] = counts.get(term, 0) + 1
+    def add_document(self, counts: Mapping[str, int], length: int) -> None:
+        """Account for one added document given its term-frequency vector.
+
+        ``counts`` iterates in first-occurrence order (as
+        :meth:`InvertedIndex.add_analyzed
+        <repro.index.inverted.InvertedIndex.add_analyzed>` returns it),
+        so a new term joins the merged order where a single index's
+        postings dict would place it.
+        """
         merged = self._terms
         for term, frequency in counts.items():
             entry = merged.get(term)
@@ -179,7 +184,7 @@ class MergedStats:
                 entry[0] += 1
                 entry[1] += frequency
         self.document_count += 1
-        self.total_terms += len(terms)
+        self.total_terms += length
 
     def remove_document(self, counts: Mapping[str, int], length: int) -> None:
         """Account for one removed document given its term-frequency vector."""
@@ -515,11 +520,11 @@ class ShardedIndex(SegmentedReader):
 
     def _add_routed(self, document: Document, terms: list[str], shard: int) -> None:
         """Place an analyzed document on an explicit shard (lock held)."""
-        self.shards[shard].add_analyzed(document, terms)
+        counts = self.shards[shard].add_analyzed(document, terms)
         self._assignments[document.doc_id] = shard
         self._ordinals[document.doc_id] = self._next_ordinal
         self._next_ordinal += 1
-        self._merged.add_document(terms)
+        self._merged.add_document(counts, len(terms))
 
     def remove(self, doc_id: str) -> Document:
         """Remove and return a document; raises if absent."""
@@ -559,25 +564,25 @@ class ShardedIndex(SegmentedReader):
         is routed and placed in input order, so the result is
         byte-identical to adding the documents one at a time.
         All-or-nothing: a failure in analysis or the duplicate check
-        leaves the index and the router cursor untouched.
+        leaves the index and the router cursor untouched. Traced as one
+        ``index/ingest`` span carrying ``documents`` and ``new_tokens``.
         """
         documents = list(documents)
-        analyzed = [
-            self.analyzer.analyze(document.body) for document in documents
-        ]
-        with self._lock:
-            seen: set[str] = set()
-            for document in documents:
-                if document.doc_id in self._assignments or document.doc_id in seen:
-                    raise ValueError(
-                        f"duplicate document id: {document.doc_id!r}"
+        with obs_span("index/ingest", documents=len(documents)) as span:
+            analyzed = analyze_batch(self.analyzer, documents, span)
+            with self._lock:
+                seen: set[str] = set()
+                for document in documents:
+                    if document.doc_id in self._assignments or document.doc_id in seen:
+                        raise ValueError(
+                            f"duplicate document id: {document.doc_id!r}"
+                        )
+                    seen.add(document.doc_id)
+                for document, terms in zip(documents, analyzed):
+                    self._add_routed(
+                        document, terms, self.router.route(document.doc_id)
                     )
-                seen.add(document.doc_id)
-            for document, terms in zip(documents, analyzed):
-                self._add_routed(
-                    document, terms, self.router.route(document.doc_id)
-                )
-            self._version += len(documents)
+                self._version += len(documents)
         return len(documents)
 
     @property

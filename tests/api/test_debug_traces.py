@@ -112,6 +112,23 @@ class TestDebugTraces:
         assert compute["attributes"]["strategy"] == "document/sentence-removal"
         assert detail.payload["counters"].get("sessions/opened", 0) >= 1
 
+    def test_ingest_is_one_span_with_its_batch_and_new_tokens(self, client):
+        response = client.post(
+            "/index/documents",
+            {"documents": [
+                {"doc_id": "fresh-1", "body": "zebra quokka"},
+                {"doc_id": "fresh-2", "body": "quokka narwhal covid"},
+            ]},
+            headers={"X-Request-Id": "traced-ingest"},
+        )
+        assert response.status == 201
+        spans = client.get("/debug/traces/traced-ingest").payload["spans"]
+        (ingest,) = [s for s in spans if s["name"] == "index/ingest"]
+        # "covid" is a corpus token and "quokka" repeats within the
+        # batch: three surface tokens are new to the analyzer.
+        assert ingest["attributes"] == {"documents": 2, "new_tokens": 3}
+        assert ingest["duration_ms"] is not None
+
     def test_unknown_request_id_is_404(self, client):
         assert client.get("/debug/traces/ghost").status == 404
 

@@ -1,5 +1,7 @@
 """Tests for the inverted index."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import DocumentNotFoundError
 from repro.index.document import Document
 from repro.index.inverted import InvertedIndex
+from repro.obs.trace import Trace, TraceContext, activate_context
 
 
 class TestIndexBuild:
@@ -83,6 +86,38 @@ class TestPositions:
         posting = tiny_index.postings("covid").get("d1")
         for position in posting.positions:
             assert terms[position] == "covid"
+
+    def test_one_pass_yields_counts_and_positions(self):
+        index = InvertedIndex()
+        terms = ["b", "a", "b", "c", "b", "a"]
+        counts = index.add_analyzed(Document("d", "unused"), terms)
+        assert list(counts.items()) == list(Counter(terms).items())
+        assert counts is index.term_frequencies("d")
+        for term, frequency in counts.items():
+            posting = index.postings(term).get("d")
+            assert posting.frequency == frequency
+            assert type(posting.positions) is tuple
+            assert [terms[p] for p in posting.positions] == [term] * frequency
+        assert index.postings("b").get("d").positions == (0, 2, 4)
+        assert index.postings("c").get("d").positions == (3,)
+
+
+class TestIngestSpan:
+    def test_add_documents_opens_one_ingest_span(self):
+        index = InvertedIndex()
+        index.add(Document("seen", "covid outbreak"))
+        trace = Trace("ingest")
+        with activate_context(TraceContext(trace)):
+            index.add_documents(
+                [
+                    Document("a", "covid vaccine"),
+                    Document("b", "vaccine trial covid"),
+                ]
+            )
+        (span,) = trace.spans
+        assert span.name == "index/ingest"
+        assert span.attributes == {"documents": 2, "new_tokens": 2}
+        assert span.duration_ms is not None
 
 
 class TestMutation:

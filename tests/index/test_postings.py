@@ -1,5 +1,9 @@
 """Tests for postings lists."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.index.postings import Posting, PostingsList
@@ -16,6 +20,22 @@ class TestPosting:
 
     def test_positions_optional(self):
         assert Posting("d1", 3).positions == ()
+
+    def test_slotted_and_still_a_frozen_value(self):
+        posting = Posting("d1", 2, (0, 5))
+        assert not hasattr(posting, "__dict__")
+        for twin in (
+            pickle.loads(pickle.dumps(posting)),
+            copy.copy(posting),
+            copy.deepcopy(posting),
+            Posting("d1", 2, (0, 5)),
+        ):
+            assert twin == posting
+            assert hash(twin) == hash(posting)
+        assert posting != Posting("d1", 2, (0, 6))
+        assert len({posting, Posting("d1", 2, (0, 5))}) == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            posting.frequency = 3
 
 
 class TestPostingsList:

@@ -4,6 +4,7 @@ placements and router state is covered in ``test_persist_format.py``."""
 
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -83,8 +84,8 @@ class TestRouters:
 class TestMergedStats:
     def test_add_remove_roundtrip(self):
         stats = MergedStats()
-        stats.add_document(["a", "b", "a", "c"])
-        stats.add_document(["b", "d"])
+        stats.add_document(Counter(["a", "b", "a", "c"]), 4)
+        stats.add_document(Counter(["b", "d"]), 2)
         assert stats.document_frequency("a") == 1
         assert stats.collection_frequency("a") == 2
         assert stats.document_frequency("b") == 2
@@ -97,9 +98,9 @@ class TestMergedStats:
 
     def test_reintroduced_term_appends_like_postings_dict(self):
         stats = MergedStats()
-        stats.add_document(["a", "b"])
+        stats.add_document(Counter(["a", "b"]), 2)
         stats.remove_document({"a": 1, "b": 1}, 2)
-        stats.add_document(["b", "a"])
+        stats.add_document(Counter(["b", "a"]), 2)
         assert stats.terms() == ["b", "a"]
 
 
