@@ -1,5 +1,7 @@
 """Tests for the inverted index."""
 
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -100,6 +102,60 @@ class TestPositions:
             assert [terms[p] for p in posting.positions] == [term] * frequency
         assert index.postings("b").get("d").positions == (0, 2, 4)
         assert index.postings("c").get("d").positions == (3,)
+
+
+class TestConcurrentPlacement:
+    THREADS = 6  # more threads than cores
+    ROUNDS = 20  # each round is a fresh race on a fresh index
+
+    def test_racing_adds_keep_every_position(self):
+        # Threads call add_analyzed directly, as the sharded backend and
+        # replace() do. Every document is longer than any added before
+        # it, so each add grows the shared position tuples while other
+        # threads read them.
+        bodies = [
+            {
+                f"t{thread}-{i}": " ".join(
+                    f"w{(thread + j) % 7}"
+                    for j in range(1 + thread + 8 * self.THREADS * i)
+                )
+                for i in range(15)
+            }
+            for thread in range(self.THREADS)
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(self.ROUNDS):
+                self._race(bodies)
+        finally:
+            sys.setswitchinterval(previous)
+
+    def _race(self, bodies) -> None:
+        index = InvertedIndex()
+        barrier = threading.Barrier(self.THREADS, timeout=30)
+
+        def add(thread: int) -> None:
+            barrier.wait()
+            for doc_id, body in bodies[thread].items():
+                index.add_analyzed(Document(doc_id, body), body.split())
+
+        threads = [
+            threading.Thread(target=add, args=(thread,))
+            for thread in range(self.THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+
+        for own in bodies:
+            for doc_id, body in own.items():
+                terms = body.split()
+                for term in set(terms):
+                    expected = tuple(p for p, t in enumerate(terms) if t == term)
+                    assert index.postings(term).get(doc_id).positions == expected
 
 
 class TestIngestSpan:
