@@ -49,9 +49,10 @@ echo "== smoke: large-eval benchmark (quality floors + tier equivalence) =="
 EVAL_SMOKE=1 python -m pytest -q benchmarks/bench_large_eval.py
 
 echo
-echo "== smoke: perfbench correctness (packed vs in-memory top-k, counterfactual recheck) =="
-python3 perfbench/run.py --workload explain-packed-lm --seed 1 --seconds 2 --trace 0 > /dev/null
-python3 perfbench/run.py --workload explain-interactive --seed 1 --seconds 2 --trace 0 > /dev/null
+echo "== smoke: perfbench correctness, all four workloads (counterfactual recheck, packed vs in-memory top-k, store payloads and lost writes, Doc2Vec fidelity) =="
+for workload in explain-interactive explain-packed-lm serve-open-loop instance-doc2vec; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 --trace 0 > /dev/null
+done
 echo "perfbench correctness smoke: ok"
 
 echo
