@@ -1,11 +1,15 @@
 """Tests for unicode folding, stopwords, and n-grams."""
 
+import unicodedata
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.text.ngrams import ngrams
 from repro.text.stopwords import ENGLISH_STOPWORDS, is_stopword
-from repro.text.unicode import normalize_text, strip_accents
+from repro.text.unicode import _PUNCT_MAP, normalize_text, strip_accents
 
 
 class TestNormalizeText:
@@ -26,6 +30,15 @@ class TestNormalizeText:
 
     def test_strip_accents_only(self):
         assert strip_accents("naïve") == "naive"
+
+    @given(st.text(alphabet=st.characters(max_codepoint=127)), st.booleans())
+    def test_ascii_shortcut_equals_the_full_pipeline(self, text, casefold):
+        full = strip_accents(
+            unicodedata.normalize("NFKC", text).translate(_PUNCT_MAP)
+        )
+        assert normalize_text(text, casefold=casefold) == (
+            full.casefold() if casefold else full
+        )
 
 
 class TestStopwords:
