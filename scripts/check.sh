@@ -56,8 +56,10 @@ done
 echo "perfbench correctness smoke: ok"
 
 echo
-echo "== smoke: traced perfbench (every wrap target resolves and is called) =="
-python3 perfbench/run.py --workload explain-packed-lm --seed 1 --seconds 2 --trace 1 > /dev/null
+echo "== smoke: traced perfbench, all four workloads (every wrap target resolves and each workload's expected frames are called) =="
+for workload in explain-interactive explain-packed-lm serve-open-loop instance-doc2vec; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 --trace 1 > /dev/null
+done
 echo "traced perfbench smoke: ok"
 
 echo

@@ -82,6 +82,7 @@ from repro.errors import (
     ConfigurationError,
     DocumentNotFoundError,
     IndexFormatError,
+    IndexStateError,
     JobNotFoundError,
     NotFoundError,
     PoolShutdownError,
@@ -131,12 +132,15 @@ def _run_explain(
 
     ``ConfigurationError`` covers unknown/unavailable strategies and
     invalid parameter combinations; ``RankingError`` covers instance
-    documents outside the top-k. Runs store-backed: a repeat of an
-    answered request returns the cached response.
+    documents outside the top-k; ``IndexStateError`` an index emptied
+    of every document. Runs store-backed: a repeat of an answered
+    request returns the cached response.
     """
     try:
         return service.explain(request, priority=priority)
-    except (PoolShutdownError, RankingError, ConfigurationError) as error:
+    except (
+        PoolShutdownError, RankingError, ConfigurationError, IndexStateError
+    ) as error:
         if isinstance(error, PoolShutdownError):
             raise ServiceUnavailableError(str(error)) from None
         raise BadRequestError(str(error)) from None
@@ -213,7 +217,10 @@ def register_endpoints(
     @router.post("/rank")
     def rank(request: Request):
         parsed = RankRequest.parse(request.body)
-        ranking = engine.rank(parsed.query, parsed.k)
+        try:
+            ranking = engine.rank(parsed.query, parsed.k)
+        except IndexStateError as error:  # every document was removed
+            raise BadRequestError(str(error)) from None
         return {
             "query": parsed.query,
             "k": parsed.k,
@@ -473,19 +480,22 @@ def register_endpoints(
                 edited_body=parsed.edited_body,
                 k=parsed.k,
             )
-        except (RankingError, DocumentNotFoundError) as error:
+        except (RankingError, DocumentNotFoundError, IndexStateError) as error:
             raise BadRequestError(str(error)) from None
         return result.to_dict()
 
     @router.post("/topics")
     def topics(request: Request):
         parsed = TopicsRequest.parse(request.body)
-        summary = engine.topics(
-            parsed.query,
-            k=parsed.k,
-            num_topics=parsed.num_topics,
-            terms_per_topic=parsed.terms_per_topic,
-        )
+        try:
+            summary = engine.topics(
+                parsed.query,
+                k=parsed.k,
+                num_topics=parsed.num_topics,
+                terms_per_topic=parsed.terms_per_topic,
+            )
+        except IndexStateError as error:
+            raise BadRequestError(str(error)) from None
         return {"query": parsed.query, "topics": summary.to_dicts()}
 
     return router

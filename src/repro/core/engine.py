@@ -267,9 +267,13 @@ class CredenceEngine:
     # -- ranking ---------------------------------------------------------------
 
     def rank(self, query: str, k: int = 10) -> Ranking:
-        """The top-k ranking shown on the Explanations page."""
+        """The top-k ranking shown on the Explanations page.
+
+        Ranking an empty index raises
+        :class:`~repro.errors.IndexStateError`.
+        """
         require_positive(k, "k")
-        return self.ranker.rank(query, min(k, len(self.index)))
+        return self.ranker.rank(query, k)
 
     def document(self, doc_id: str) -> Document:
         return self.index.document(doc_id)

@@ -54,7 +54,7 @@ def _non_relevant_ids(
     ranker: Ranker, query: str, k: int
 ) -> tuple[Ranking, list[str]]:
     """(rank of instance pool, ids of documents ranked k+1 and below)."""
-    ranking = ranker.rank(query, min(k, len(ranker.index)))
+    ranking = ranker.rank(query, k)
     relevant = set(ranking.doc_ids)
     non_relevant = [
         doc_id for doc_id in ranker.index.doc_ids if doc_id not in relevant

@@ -25,7 +25,7 @@ explainer composes them with a search strategy (exhaustive by default).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import RankingError
 from repro.index.document import Document
@@ -39,11 +39,7 @@ from repro.core.search import (
     resolve_strategy,
 )
 from repro.core.types import ExplanationSet, QueryAugmentationExplanation
-from repro.utils.memo import Memo
 from repro.utils.validation import require, require_positive
-
-#: (query, k) retrievals one explainer memoizes.
-RETRIEVAL_CAPACITY = 32
 
 
 @dataclass
@@ -68,31 +64,24 @@ class CounterfactualQueryExplainer:
     max_evaluations: int = 2000
     raise_on_budget: bool = False
     search: SearchStrategy | str | None = None
-    _retrievals: Memo = field(init=False, repr=False)
 
     def __post_init__(self):
         require_positive(self.max_terms, "max_terms")
         require_positive(self.max_candidate_terms, "max_candidate_terms")
         require_positive(self.max_evaluations, "max_evaluations")
-        self._retrievals = Memo(RETRIEVAL_CAPACITY, self.ranker.index)
 
     # -- retrieval ------------------------------------------------------------
 
     def _original_top_k(
         self, query: str, k: int
     ) -> tuple[Ranking, list[Document]]:
-        """The original query's top-k ranking and documents, memoized.
+        """The original query's top-k ranking and its documents.
 
-        Verification loops call this once per (query, k) instead of
-        re-running full corpus retrieval for every augmentation checked;
-        the index's mutation version keys the memo so corpus changes
-        invalidate it.
+        A lexical ranker's searcher remembers the retrieval per query
+        and index version, so verification loops that call this for
+        every augmentation checked score the corpus once.
         """
-        return self._retrievals.get((query, k), self._retrieve)
-
-    def _retrieve(self, key: tuple[str, int]) -> tuple[Ranking, list[Document]]:
-        query, k = key
-        ranking = self.ranker.rank(query, min(k, len(self.ranker.index)))
+        ranking = self.ranker.rank(query, k)
         documents = [
             self.ranker.index.document(ranked_id) for ranked_id in ranking.doc_ids
         ]
@@ -190,9 +179,9 @@ class CounterfactualQueryExplainer:
     ) -> int | None:
         """Rank of ``doc_id`` among the original top-k under an augmentation.
 
-        The original top-k retrieval is memoized per (query, k), so a
-        verification sweep over many augmentations pays for corpus
-        retrieval once instead of once per call.
+        A lexical ranker's searcher remembers the original top-k
+        retrieval, so a verification sweep over many augmentations pays
+        for corpus retrieval once instead of once per call.
         """
         _, ranked_documents = self._original_top_k(query, k)
         augmented_query = " ".join([query, *added_terms])

@@ -151,7 +151,6 @@ class InvertedIndex:
             self._doc_lengths[doc_id] = len(terms)
             self._doc_term_freqs[doc_id] = counts
             self._total_terms += len(terms)
-            self._version += 1
             self._stats_cache = None
             index = self._postings
             for term, seen in positions.items():
@@ -166,6 +165,10 @@ class InvertedIndex:
                         seen if frequency == 1 else tuple(seen),
                     )
                 )
+            # Last, so a reader that sees the new version sees the
+            # whole document: a version-keyed memo filled mid-add holds
+            # the old version and empties on this move.
+            self._version += 1
         return counts
 
     def remove(self, doc_id: str) -> Document:
@@ -176,7 +179,6 @@ class InvertedIndex:
                 raise DocumentNotFoundError(doc_id)
             del self._ordinals[doc_id]
             self._total_terms -= self._doc_lengths.pop(doc_id)
-            self._version += 1
             self._stats_cache = None
             term_freqs = self._doc_term_freqs.pop(doc_id)
             for term in term_freqs:
@@ -184,6 +186,7 @@ class InvertedIndex:
                 postings.remove(doc_id)
                 if len(postings) == 0:
                     del self._postings[term]
+            self._version += 1  # last, as in add_analyzed
             return document
 
     def replace(self, document: Document) -> Document:

@@ -6,7 +6,8 @@ only documents containing at least one query term; language-model
 similarities (which smooth absent terms) fall back to scoring every
 document. Results are ordered through the index's ``ordinals`` map
 (doc id → insertion ordinal), so selecting the top k never walks the
-corpus.
+corpus. Each searcher remembers its recent retrievals per query and
+index version, so the explanations of a ranking just shown reuse it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,11 @@ from typing import Iterable
 from repro.errors import IndexStateError
 from repro.index.inverted import InvertedIndex
 from repro.index.similarity import Bm25Similarity, CollectionView, Similarity
+from repro.utils.memo import Memo
 from repro.utils.validation import require_positive
+
+#: Queries whose retrieval one searcher remembers (per index version).
+RETRIEVAL_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -38,6 +43,8 @@ class IndexSearcher:
         self.index = index
         self.similarity = similarity or Bm25Similarity()
         self.view = CollectionView(index)
+        #: query -> (depth, its top ``depth`` hits), for the index version.
+        self._retrievals = Memo(RETRIEVAL_CAPACITY, index)
 
     # -- internals -----------------------------------------------------------
 
@@ -124,8 +131,24 @@ class IndexSearcher:
         with a k-sized heap, so it follows the matching postings and
         never walks ``doc_ids``. A document removed after scoring has
         no ordinal and drops out.
+
+        A miss keeps one hit more than asked for, the k+1 pool that
+        explaining a document of this ranking asks for next. A later
+        call for the same query on the same index version is served
+        from those hits when it asks for no more of them, or when fewer
+        documents matched; under that order the first k of the top k+1
+        are exactly the top k. Every call returns a new list.
         """
         require_positive(k, "k")
+        _, hits = self._retrievals.get(
+            query,
+            lambda _: (k + 1, self._top(query, k + 1)),
+            lambda kept: k <= kept[0] or len(kept[1]) < kept[0],
+        )
+        return hits[:k]
+
+    def _top(self, query: str, depth: int) -> list[SearchHit]:
+        """The top ``depth`` hits for ``query``, scored afresh."""
         scores = self.score_all(query)
         ordinal = self.index.ordinals.get
         ranked = [
@@ -136,7 +159,7 @@ class IndexSearcher:
         return [
             SearchHit(doc_id=doc_id, score=-negated, rank=rank)
             for rank, (negated, _, doc_id) in enumerate(
-                heapq.nsmallest(k, ranked), start=1
+                heapq.nsmallest(depth, ranked), start=1
             )
         ]
 

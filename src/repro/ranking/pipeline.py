@@ -43,8 +43,7 @@ class RetrieveRerankPipeline(Ranker):
 
     def rank(self, query: str, k: int) -> Ranking:
         require_positive(k, "k")
-        depth = min(max(self.depth, k), len(self.index))
-        candidates = self.first_stage.rank(query, depth)
+        candidates = self.first_stage.rank(query, max(self.depth, k))
         documents = [self.index.document(doc_id) for doc_id in candidates.doc_ids]
         reranked = self.reranker.rank_candidates(query, documents)
         return reranked.top(min(k, len(reranked)))

@@ -49,8 +49,8 @@ def candidate_pool(ranker: Ranker, query: str, k: int) -> list[Document]:
     document always has a rank-(k+1) slot to fall into — matching the
     demo, where the corpus always exceeds the ranked list.
     """
+    ranking = ranker.rank(query, k + 1)
     pool_size = min(k + 1, len(ranker.index))
-    ranking = ranker.rank(query, pool_size)
     documents = [ranker.index.document(doc_id) for doc_id in ranking.doc_ids]
     if len(documents) < pool_size:
         retrieved = set(ranking.doc_ids)

@@ -46,14 +46,23 @@ class Memo:
         self._version = None if index is None else index.version
         self._lock = threading.Lock()
 
-    def get(self, key: Hashable, compute: Callable[[Any], Any]) -> Any:
-        """The value stored for ``key``, or ``compute(key)`` on a miss."""
+    def get(
+        self,
+        key: Hashable,
+        compute: Callable[[Any], Any],
+        fits: Callable[[Any], bool] | None = None,
+    ) -> Any:
+        """The value stored for ``key``, or ``compute(key)`` on a miss.
+
+        A stored value that ``fits`` rejects counts as a miss: the value
+        is computed and returned, and the stored one stays.
+        """
         index = self.index
         version = None if index is None else index.version
         if version != self._version:
             self._follow(index)
         value = self.entries.get(key, _ABSENT)
-        if value is not _ABSENT:
+        if value is not _ABSENT and (fits is None or fits(value)):
             self.hits += 1
             return value
         value = compute(key)
@@ -104,7 +113,7 @@ class Memo:
     def _store(self, key: Hashable, value: Any) -> None:
         # Caller holds the lock.
         entries = self.entries
-        if key in entries:  # a concurrent miss stored it first
+        if key in entries:  # a concurrent miss stored it first, or it did not fit
             return
         if len(entries) >= self.capacity:
             stale = list(islice(entries, len(entries) - self.capacity // 2))

@@ -230,6 +230,28 @@ class TestIndexManagement:
         assert removed.payload["documents"] == before["documents"] + 1
         assert client.get("/documents/ingest-1").status == 404
 
+    def test_an_emptied_index_answers_every_ranking_route_with_400(
+        self, fresh_client
+    ):
+        client, engine = fresh_client
+        doc_id = client.post("/rank", {"query": QUERY}).payload["ranking"][0][
+            "doc_id"
+        ]
+        for removed in list(engine.index.doc_ids):
+            assert client.delete(f"/index/documents/{removed}").status == 200
+        for path, body in (
+            ("/rank", {"query": QUERY, "k": 10}),
+            ("/explanations", {"query": QUERY, "doc_id": doc_id}),
+            ("/builder/rerank", {"query": QUERY, "doc_id": doc_id, "edited_body": "x"}),
+            ("/topics", {"query": QUERY}),
+        ):
+            response = client.post(path, body)
+            assert response.status == 400, path
+            assert response.payload == {
+                "error": "BadRequestError",
+                "detail": "cannot search an empty index",
+            }
+
     def test_ingest_duplicate_is_400(self, fresh_client):
         client, _ = fresh_client
         response = client.post(

@@ -74,6 +74,31 @@ class TestLiveServer:
         assert response.status == 200
         assert "rank_after" in response.payload
 
+    def test_an_emptied_index_is_a_400_over_http(self):
+        from repro.core.engine import CredenceEngine, EngineConfig
+        from repro.datasets.covid import covid_corpus
+
+        engine = CredenceEngine(
+            covid_corpus()[:8], EngineConfig(ranker="bm25", seed=5)
+        )
+        server = serve(engine, port=0)
+        try:
+            client = HttpClient(server.url)
+            ranked = client.post("/rank", {"query": QUERY, "k": 3})
+            doc_id = ranked.payload["ranking"][0]["doc_id"]
+            for removed in list(engine.index.doc_ids):
+                assert client.delete(f"/index/documents/{removed}").status == 200
+            for path, body in (
+                ("/rank", {"query": QUERY, "k": 3}),
+                ("/explanations", {"query": QUERY, "doc_id": doc_id}),
+            ):
+                response = client.post(path, body)
+                assert response.status == 400, path
+                assert response.payload["detail"] == "cannot search an empty index"
+                assert response.headers.get("connection") != "close"
+        finally:
+            server.stop()
+
     def test_concurrent_requests(self, live):
         import concurrent.futures
 

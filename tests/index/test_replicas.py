@@ -176,7 +176,9 @@ class TestSwapDuringRead:
         replica = ReplicaIndex(path)
         try:
             ranker = ranker_class(replica)
-            ranking = ranker.rank(QUERY, K + 1).to_dicts()
+            # From a second ranker: ``ranker``'s searcher would remember
+            # this retrieval, and the paused rank below must score.
+            ranking = ranker_class(replica).rank(QUERY, K + 1).to_dicts()
             old_view = weakref.ref(replica._inner)
             old_segment = weakref.ref(replica._inner.shards[0].segment)
             paused, resume = threading.Event(), threading.Event()

@@ -105,6 +105,14 @@ class TestCounters:
             "evictions": 1,
         }
 
+    def test_a_value_that_does_not_fit_is_a_miss_and_stays_stored(self):
+        memo = Memo(1)
+        memo.get("a", _double)
+        assert memo.get("a", str.upper, lambda value: value == "AA") == "A"
+        assert memo.get("a", pytest.fail, lambda value: value == "aa") == "aa"
+        assert memo.entries == {"a": "aa"}
+        assert (memo.hits, memo.misses, memo.evictions) == (1, 2, 0)
+
     def test_a_hit_takes_no_lock(self):
         memo = Memo(2)
         memo.get("a", _double)
