@@ -41,8 +41,10 @@ from repro.utils.memo import Memo
 from repro.utils.rng import default_rng
 from repro.utils.validation import require, require_positive
 
-#: (query, k) retrievals one explainer memoizes, so explaining several
-#: documents for the same query pays for retrieval once.
+#: (query, k) → (ranking, non-relevant ids) one explainer memoizes. The
+#: searcher already remembers the ranking; the memo spares rebuilding
+#: the non-relevant list, a walk over the corpus, when several
+#: documents of one query are explained.
 RETRIEVAL_CAPACITY = 32
 
 #: BM25 document vectors one cosine explainer memoizes: above every
