@@ -80,6 +80,7 @@ def main() -> None:
         f"valid={payload['is_valid_counterfactual']}"
     )
 
+    client.close()
     server.stop()
     print("\nServer stopped.")
 

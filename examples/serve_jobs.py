@@ -98,6 +98,7 @@ def main() -> None:
     print("\nGET /metrics")
     print(json.dumps(client.get("/metrics").payload, indent=2))
 
+    client.close()
     server.stop()
     engine.service().shutdown(cancel_pending=True)
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Repo gate: the tier-1 test suite plus the benchmark smokes, the
-# coverage floor, the examples over real HTTP, the paper's walk-through
-# and the quickstart smoke.
+# Repo gate: the tier-1 test suite, the API suite's leak check, the
+# benchmark smokes, the coverage floor, the examples over real HTTP, the
+# paper's walk-through and the quickstart smoke.
 #
 # Tier-1 runs once, with DeprecationWarning as an error so no
 # deprecated shim can come back. The smokes assert what the suite does
@@ -15,6 +15,13 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1: full test suite (deprecations are errors) =="
 python -m pytest -x -q -W error::DeprecationWarning
+
+echo
+echo "== leaks: the API suite with unclosed sockets as errors =="
+# Python cannot import pytest while it reads its own -W flags, so the
+# unraisable-exception filter goes to pytest's -W instead.
+python -X dev -W error::ResourceWarning -m pytest -q \
+    -W error::pytest.PytestUnraisableExceptionWarning tests/api
 
 echo
 echo "== smoke: search-strategy benchmark (beam multi-edit, anytime deadline) =="

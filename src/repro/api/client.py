@@ -25,6 +25,7 @@ import json
 import random
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 from urllib.parse import urlsplit
@@ -166,6 +167,23 @@ class InProcessClient:
         }
 
 
+class _Idle:
+    """A thread's kept-alive connection, closed when the thread ends (its
+    thread-local storage goes, and this with it) or the client closes."""
+
+    __slots__ = ("connection", "__weakref__")
+
+    def __init__(self):
+        self.connection: http.client.HTTPConnection | None = None
+
+    def close(self) -> None:
+        connection, self.connection = self.connection, None
+        if connection is not None:
+            connection.close()
+
+    __del__ = close
+
+
 class HttpClient:
     """A tiny JSON HTTP client for a live server, with bounded retries.
 
@@ -176,7 +194,8 @@ class HttpClient:
     response byte arrives — the server closed it while idle — the request
     goes once more on a fresh connection; a failure on a fresh connection
     is the :class:`RetryPolicy`'s to handle. Any other error closes the
-    thread's connection.
+    thread's connection. A thread's connection closes when the thread
+    ends; :meth:`close` (or leaving a ``with`` block) closes the rest.
 
     ``transport``, ``sleep`` and ``rng`` are injectable so the retry
     loop is deterministic under test; the default transport is the
@@ -201,7 +220,27 @@ class HttpClient:
         self._url = urlsplit(self.base_url)
         if self._url.scheme not in ("http", "https"):
             raise ValueError(f"unsupported URL scheme in {base_url!r}")
-        self._idle = threading.local()
+        self._local = threading.local()
+        self._idles: weakref.WeakSet[_Idle] = weakref.WeakSet()
+
+    def close(self) -> None:
+        """Close every idle connection; a later call opens a new one."""
+        for idle in list(self._idles):
+            idle.close()
+
+    def __enter__(self) -> "HttpClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _idle(self) -> _Idle:
+        """This thread's idle-connection slot."""
+        idle = getattr(self._local, "idle", None)
+        if idle is None:
+            idle = self._local.idle = _Idle()
+            self._idles.add(idle)
+        return idle
 
     def _connect(self) -> http.client.HTTPConnection:
         """A new, not yet opened connection to the server."""
@@ -217,8 +256,9 @@ class HttpClient:
     def _put_back(self, connection: http.client.HTTPConnection) -> None:
         """Keep ``connection`` as this thread's idle one, or close it
         when a call made during a stream already filled the slot."""
-        if getattr(self._idle, "connection", None) is None:
-            self._idle.connection = connection
+        idle = self._idle()
+        if idle.connection is None:
+            idle.connection = connection
         else:
             connection.close()
 
@@ -242,8 +282,9 @@ class HttpClient:
             request_headers["Content-Type"] = "application/json"
         # Take this thread's idle connection; while a stream holds it,
         # the slot is empty and this request opens its own.
-        connection = getattr(self._idle, "connection", None) or self._connect()
-        self._idle.connection = None
+        idle = self._idle()
+        connection = idle.connection or self._connect()
+        idle.connection = None
         while True:
             reused = connection.sock is not None
             try:

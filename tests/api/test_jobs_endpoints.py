@@ -176,8 +176,8 @@ class TestBatchCaps:
 class TestBodySizeCap:
     def test_oversized_body_is_clean_400_over_http(self, engine):
         server = serve(engine, port=0, max_body_bytes=10_000)
+        client = HttpClient(server.url)
         try:
-            client = HttpClient(server.url)
             response = client.post(
                 "/explanations",
                 {"query": "x" * 50_000, "doc_id": DOC},
@@ -190,4 +190,5 @@ class TestBodySizeCap:
             )
             assert ok.status == 200
         finally:
+            client.close()
             server.stop()

@@ -31,7 +31,8 @@ def server(module_engine):
 
 @pytest.fixture(scope="module")
 def live(server):
-    return HttpClient(server.url)
+    with HttpClient(server.url) as client:
+        yield client
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +83,8 @@ class TestLiveServer:
             covid_corpus()[:8], EngineConfig(ranker="bm25", seed=5)
         )
         server = serve(engine, port=0)
+        client = HttpClient(server.url)
         try:
-            client = HttpClient(server.url)
             ranked = client.post("/rank", {"query": QUERY, "k": 3})
             doc_id = ranked.payload["ranking"][0]["doc_id"]
             for removed in list(engine.index.doc_ids):
@@ -97,6 +98,7 @@ class TestLiveServer:
                 assert response.payload["detail"] == "cannot search an empty index"
                 assert response.headers.get("connection") != "close"
         finally:
+            client.close()
             server.stop()
 
     def test_concurrent_requests(self, live):
@@ -190,8 +192,9 @@ class TestKeptAliveConnections:
             connection.close()
 
     def test_one_connection_per_calling_thread(self):
-        with _CountingServer() as counting:
-            client = HttpClient(counting.api.url)
+        with _CountingServer() as counting, HttpClient(
+            counting.api.url
+        ) as client:
             for _ in range(3):
                 assert client.get("/ping").status == 200
                 assert client.post("/count", {}).status == 200
@@ -210,6 +213,25 @@ class TestKeptAliveConnections:
                 assert not thread.is_alive()
             assert len(counting.calls) == 9
             assert len(counting.accepted) == 3
+
+    def test_a_thread_s_connection_closes_when_the_thread_ends(self):
+        with _CountingServer() as counting, HttpClient(
+            counting.api.url
+        ) as client:
+            sockets = []
+
+            def call():
+                assert client.get("/ping").status == 200
+                sockets.append(client._idle().connection.sock)
+
+            thread = threading.Thread(target=call)
+            thread.start()
+            thread.join(timeout=5)
+            assert sockets[0].fileno() == -1  # closed as the thread ended
+            assert client.get("/ping").status == 200
+            kept = client._idle().connection
+            assert kept.sock is not None
+        assert kept.sock is None  # closed by leaving the with block
 
     def test_stop_closes_kept_alive_connections(self):
         before = threading.active_count()
@@ -254,10 +276,9 @@ class TestKeptAliveConnections:
 
     def test_client_replaces_a_connection_closed_while_idle(self, monkeypatch):
         monkeypatch.setattr(api_http, "IDLE_TIMEOUT_SECONDS", 0.2)
-        with _CountingServer() as counting:
-            client = HttpClient(
-                counting.api.url, retry=RetryPolicy(max_attempts=1)
-            )
+        with _CountingServer() as counting, HttpClient(
+            counting.api.url, retry=RetryPolicy(max_attempts=1)
+        ) as client:
             before = threading.active_count()
             assert client.post("/count", {"n": 1}).status == 200
             # the server closes the idle connection and its thread exits
@@ -271,8 +292,9 @@ class TestRouteFailures:
     def test_unmapped_route_error_is_one_500_that_closes(self, caplog):
         # A connection dropped with no status line looks like an idle
         # close to a kept-alive client, which would send the POST again.
-        with _CountingServer() as counting:
-            client = HttpClient(counting.api.url)
+        with _CountingServer() as counting, HttpClient(
+            counting.api.url
+        ) as client:
             assert client.post("/count", {"n": 1}).status == 200
             with caplog.at_level(logging.ERROR, logger="repro.api.http"):
                 failed = client.post("/fail", {"n": 2})  # on a reused connection
@@ -370,8 +392,9 @@ class TestHttpClientStream:
         assert chunks[0]["error"] == "BadRequestError"
 
     def test_stream_holds_the_connection_until_exhausted(self):
-        with _CountingServer() as counting:
-            client = HttpClient(counting.api.url)
+        with _CountingServer() as counting, HttpClient(
+            counting.api.url
+        ) as client:
             stream = client.post_stream("/stream")
             assert next(stream) == {"event": "progress", "step": 0}
             # the stream's connection is busy: this call opens its own
@@ -385,8 +408,9 @@ class TestHttpClientStream:
             assert len(counting.accepted) == 2
 
     def test_closing_a_stream_early_leaves_the_client_usable(self):
-        with _CountingServer() as counting:
-            client = HttpClient(counting.api.url)
+        with _CountingServer() as counting, HttpClient(
+            counting.api.url
+        ) as client:
             stream = client.post_stream("/stream")
             assert next(stream)["step"] == 0
             stream.close()  # closes its connection too
@@ -403,8 +427,9 @@ class TestBaseUrl:
         assert (connection.host, connection.port) == ("example.invalid", 8443)
 
     def test_path_prefix_in_base_url_is_kept(self):
-        with _CountingServer(prefix="/api/v1") as counting:
-            client = HttpClient(counting.api.url + "/api/v1/")
+        with _CountingServer(prefix="/api/v1") as counting, HttpClient(
+            counting.api.url + "/api/v1/"
+        ) as client:
             assert client.get("/ping").status == 200
             assert client.post("/count", {}).status == 200
             assert len(counting.calls) == 1
