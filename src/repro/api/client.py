@@ -16,6 +16,7 @@ replaying it is the caller's decision (``retry_non_idempotent=True``),
 not the transport's. Below the policy, a kept-alive connection that the
 server has closed while idle is replaced once, transparently: it failed
 before any response byte, so the server never read the request.
+Response heads are read by the server's :func:`~repro.api.http.read_head`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Any, Callable, Iterator
 from urllib.parse import urlsplit
 
 from repro.api.http import HttpResponse, Request, Router, StreamingResponse
+from repro.api.http import read_head
 
 #: Methods safe to replay without the caller opting in.
 IDEMPOTENT_METHODS = frozenset({"GET", "DELETE"})
@@ -167,6 +169,34 @@ class InProcessClient:
         }
 
 
+class _Response(http.client.HTTPResponse):
+    """An ``http.client`` response whose head :func:`read_head` reads
+    into ``headers``, a dict keyed by lower-cased name."""
+
+    def begin(self) -> None:
+        if self.headers is not None:
+            return  # already begun
+        version, status, reason = self._read_status()
+        while status == http.client.CONTINUE:
+            read_head(self.fp)
+            version, status, reason = self._read_status()
+        if not version.startswith("HTTP/1.") and version != "HTTP/0.9":
+            raise http.client.UnknownProtocol(version)
+        self.code = self.status = status
+        self.reason = reason.strip()
+        self.version = 10 if version in ("HTTP/1.0", "HTTP/0.9") else 11
+        self.headers = self.msg = read_head(self.fp)
+        self.chunked = self.headers.get("transfer-encoding", "").lower() == "chunked"
+        self.chunk_left = None
+        self.will_close = self._check_close()
+        length = self.headers.get("content-length", "")
+        self.length = int(length) if length.isdecimal() and not self.chunked else None
+        if status in (204, 304) or status < 200 or self._method == "HEAD":
+            self.length = 0
+        if self.length is None and not self.chunked:
+            self.will_close = True  # the body ends where the connection does
+
+
 class _Idle:
     """A thread's kept-alive connection, closed when the thread ends (its
     thread-local storage goes, and this with it) or the client closes."""
@@ -249,9 +279,11 @@ class HttpClient:
             if self._url.scheme == "https"
             else http.client.HTTPConnection
         )
-        return connection_class(
+        connection = connection_class(
             self._url.hostname, self._url.port, timeout=self.timeout
         )
+        connection.response_class = _Response
+        return connection
 
     def _put_back(self, connection: http.client.HTTPConnection) -> None:
         """Keep ``connection`` as this thread's idle one, or close it
@@ -319,17 +351,13 @@ class HttpClient:
         self._put_back(connection)
         # Non-JSON bodies (Prometheus exposition) come back as the raw
         # string payload.
-        content_type = raw.getheader("Content-Type", "")
+        content_type = raw.headers.get("content-type", "")
         payload = (
             json.loads(text)
             if content_type.startswith("application/json")
             else text
         )
-        return HttpResponse(
-            raw.status,
-            payload,
-            headers={k.lower(): v for k, v in raw.getheaders()},
-        )
+        return HttpResponse(raw.status, payload, headers=raw.headers)
 
     def _send(
         self,

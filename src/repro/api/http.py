@@ -9,12 +9,15 @@ testable without third-party frameworks.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import re
 import socket
 import threading
+import time
 from dataclasses import dataclass, field, replace
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 from urllib.parse import parse_qs, urlparse
@@ -226,6 +229,57 @@ IDLE_TIMEOUT_SECONDS = 5.0
 #: (the standard library's default is 0.5 s).
 POLL_INTERVAL_SECONDS = 0.05
 
+#: ``http.client``'s limits on a head: bytes in a line, and lines (the
+#: blank line that ends the head counts).
+MAX_HEAD_LINE, MAX_HEAD_LINES = 65536, 100
+
+_VERSION_RE = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+
+
+class HeadError(http.client.HTTPException):
+    """A head this transport refuses; ``status`` is the server's answer."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+def read_head(rfile) -> dict[str, str]:
+    """Read a head's field lines, through the blank line that ends it.
+
+    Both ends of the transport read heads here, not with the ``email``
+    package. Names are lower-cased and values stripped; a repeated
+    field's values are joined with ", " (RFC 9110 §5.3). A line without
+    a colon is skipped; an obs-folded line (RFC 9112 §5.2) or a head
+    over ``http.client``'s limits raises :class:`HeadError`.
+    """
+    fields: dict[str, str] = {}
+    for _ in range(MAX_HEAD_LINES):
+        line = rfile.readline(MAX_HEAD_LINE + 1)
+        if len(line) > MAX_HEAD_LINE:
+            raise HeadError(431, "header line too long")
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        if line[0] in b" \t":
+            raise HeadError(400, "obsolete line folding is not accepted")
+        name, colon, value = line.decode("latin-1").partition(":")
+        if colon:
+            name, value = name.lower(), value.strip()
+            fields[name] = f"{fields[name]}, {value}" if name in fields else value
+    raise HeadError(431, f"more than {MAX_HEAD_LINES} header lines")
+
+
+_date = (0, "")  # (a second, its Date header value)
+
+
+def _http_date() -> str:
+    """The ``Date`` header value, formatted at most once a second."""
+    global _date
+    now = int(time.time())
+    if _date[0] != now:
+        _date = (now, formatdate(now, usegmt=True))
+    return _date[1]
+
 
 class _JsonRequestHandler(BaseHTTPRequestHandler):
     """Adapts :class:`BaseHTTPRequestHandler` to the router.
@@ -233,7 +287,9 @@ class _JsonRequestHandler(BaseHTTPRequestHandler):
     Connections are kept alive (HTTP/1.1) with Nagle off, and every
     response leaves in one write: a body written after its headers would
     otherwise wait behind the client's delayed ACK (RFC 896, RFC 1122
-    §4.2.3.2), about 40 ms per request on a kept-alive connection.
+    §4.2.3.2), about 40 ms per request on a kept-alive connection. The
+    request head is read by :func:`read_head` into :attr:`headers`, a
+    dict keyed by lower-cased name.
     """
 
     router: Router  # set by server factory
@@ -246,29 +302,66 @@ class _JsonRequestHandler(BaseHTTPRequestHandler):
         pass
 
     def parse_request(self) -> bool:
+        """Read the request line and head. What the standard library
+        refuses gets its status (400, 431 or 505); HTTP/0.9 and an
+        obs-folded line get a 400. A refusal closes the connection."""
+        self.close_connection = True
         if self.server.closing:
             # Read after stop() began: close unanswered, as if the
             # server had closed first (Linux still delivers bytes that
             # arrive after a read-side shutdown).
-            self.close_connection = True
             return False
-        return super().parse_request()
+        self.requestline = str(self.raw_requestline, "latin-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        version = _VERSION_RE.fullmatch(words[-1])
+        if len(words) != 3 or version is None:
+            return self._refuse(400, f"bad request line {self.requestline!r}")
+        if int(version[1]) >= 2:
+            return self._refuse(505, f"{words[2]} is not supported")
+        self.command, path, self.request_version = words
+        # "//x" would read as a scheme-less URI to a client (gh-87389)
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = read_head(self.rfile)
+        except HeadError as error:
+            return self._refuse(error.status, str(error))
+        http_1_1 = (int(version[1]), int(version[2])) >= (1, 1)
+        connection = self.headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            not http_1_1 and connection != "keep-alive"
+        )
+        if http_1_1 and self.headers.get("expect", "").lower() == "100-continue":
+            return self.handle_expect_100()
+        return True
+
+    def _refuse(self, status: int, message: str, close: bool = True) -> bool:
+        """Answer ``status`` with a ``BadRequestError`` payload; ``close``
+        when where the request ends is unknown, so the next request
+        cannot be found on this connection."""
+        payload = BadRequestError(message).to_payload()
+        headers = {"Connection": "close"} if close else {}
+        self._respond(HttpResponse(status, payload, headers))
+        return False
 
     def _write_head(
         self, status: int, headers: Iterable[tuple[str, str]], body: bytes = b""
     ) -> None:
-        """Send the status line, ``headers`` and ``body`` in one write.
-
-        ``send_header`` only buffers; ``end_headers`` would flush the
-        head on its own, so the blank line is appended here instead.
-        """
-        self.send_response(status)
+        """Send the status line, ``Server``, ``Date``, ``headers`` and
+        ``body`` in one write. A ``Connection: close`` among ``headers``
+        closes the connection after this response."""
+        reason = self.responses.get(status, ("",))[0]
+        head = [
+            f"{self.protocol_version} {status} {reason}\r\n"
+            f"Server: {self.version_string()}\r\nDate: {_http_date()}\r\n"
+        ]
         for name, value in headers:
-            self.send_header(name, value)
-        self._headers_buffer.append(b"\r\n")
-        head = b"".join(self._headers_buffer)
-        self._headers_buffer = []
-        self.wfile.write(head + body)
+            head.append(f"{name}: {value}\r\n")
+            if name.lower() == "connection" and value.lower() == "close":
+                self.close_connection = True
+        head.append("\r\n")
+        self.wfile.write("".join(head).encode("latin-1") + body)
 
     def _respond(self, response: HttpResponse | TextResponse) -> None:
         if isinstance(response, TextResponse):
@@ -331,23 +424,18 @@ class _JsonRequestHandler(BaseHTTPRequestHandler):
             key: values[0] for key, values in parse_qs(parsed.query).items()
         }
         body = None
-        declared = (self.headers.get("Content-Length") or "0").strip()
-        chunked = "Transfer-Encoding" in self.headers
+        declared = self.headers.get("content-length") or "0"
+        if "," in declared:  # repeated: the copies must agree (RFC 9112 §6.3)
+            copies = {copy.strip() for copy in declared.split(",")}
+            declared = copies.pop() if len(copies) == 1 else declared
+        chunked = "transfer-encoding" in self.headers
         if chunked or not _CONTENT_LENGTH_RE.fullmatch(declared):
-            # Where the body ends is unknown, so the next request cannot
-            # be found on this connection: refuse, and close it.
-            error = BadRequestError(
+            self._refuse(
+                400,
                 "chunked request bodies are not accepted"
                 if chunked
-                else f"Content-Length must be a non-negative integer, "
-                f"got {declared!r}"
-            )
-            self._respond(
-                HttpResponse(
-                    error.status_code,
-                    error.to_payload(),
-                    headers={"Connection": "close"},
-                )
+                else f"Content-Length must be one non-negative integer, "
+                f"got {declared!r}",
             )
             return
         length = int(declared)
@@ -361,26 +449,26 @@ class _JsonRequestHandler(BaseHTTPRequestHandler):
                 if not chunk:
                     break
                 remaining -= len(chunk)
-            error = BadRequestError(
+            self._refuse(
+                400,
                 f"request body of {length} bytes exceeds the "
-                f"{self.max_body_bytes}-byte limit"
+                f"{self.max_body_bytes}-byte limit",
+                close=False,
             )
-            self._respond(HttpResponse(error.status_code, error.to_payload()))
             return
         if length:
             raw = self.rfile.read(length)
             try:
                 body = json.loads(raw)
             except ValueError:  # bad JSON, or bytes that are not text
-                error = BadRequestError("request body is not valid JSON")
-                self._respond(HttpResponse(error.status_code, error.to_payload()))
+                self._refuse(400, "request body is not valid JSON", close=False)
                 return
         request = Request(
             method=method,
             path=parsed.path,
             query_params=query_params,
             body=body,
-            headers={key.lower(): value for key, value in self.headers.items()},
+            headers=self.headers,
         )
         try:
             response = self.router.dispatch(request)

@@ -7,13 +7,15 @@ points :class:`HttpClient` at a raw-socket server that answers with
 scripted bytes.
 """
 
+import email.parser
+import http.client
 import socket
 import threading
 
 import pytest
 
 from repro.api.client import HttpClient, RetryPolicy
-from repro.api.http import ApiServer, Router
+from repro.api.http import ApiServer, Router, StreamingResponse
 
 PROBE = b"GET /ping HTTP/1.1\r\nHost: x\r\n\r\n"
 
@@ -98,10 +100,11 @@ SERVER_ROWS = {
         None,
         ((200,), False),
     ),
+    # RFC 9112 §5.2 lets a server refuse obs-fold with a 400.
     "obs-fold": (
         b"GET /ping HTTP/1.1\r\nHost: x\r\nX-Tag: a\r\n  b\r\n\r\n",
         None,
-        ((200,), False),
+        ((400,), True),
     ),
     "http-1.0": (
         b"GET /ping HTTP/1.0\r\n\r\n",
@@ -118,15 +121,16 @@ SERVER_ROWS = {
         None,
         ((200,), True),
     ),
+    # HTTP/0.9 is not served: every answer has a status line.
     "http-2.0": (
         b"GET /ping HTTP/2.0\r\n\r\n",
         None,
-        ((None,), True),
+        ((505,), True),
     ),
     "two-word-request-line": (
         b"GET /ping\r\n\r\n",
         None,
-        ((None,), True),
+        ((400,), True),
     ),
     "expect-100-continue": (
         b"POST /count HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
@@ -234,3 +238,40 @@ def test_client_reads_each_response(row):
         assert second.status == 200 and second.payload == {"n": 2}
         got = (response.status, response.payload, scripted.accepted)
     assert got == expected
+
+
+def test_neither_end_reads_a_head_with_the_email_package(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a head went through the email package")
+
+    monkeypatch.setattr(http.client, "parse_headers", refuse)
+    monkeypatch.setattr(email.parser.Parser, "parsestr", refuse)
+    router = Router()
+    router.add("GET", "/ping", lambda request: {"ok": True})
+    router.add("POST", "/count", lambda request: {"body": request.body})
+    steps = [{"step": 0}, {"step": 1}]
+    router.add("POST", "/stream", lambda request: StreamingResponse(200, steps))
+    with ApiServer(router) as server, HttpClient(
+        server.url, retry=RetryPolicy(max_attempts=1)
+    ) as client:
+        assert client.get("/ping").payload == {"ok": True}
+        assert client.post("/count", {"n": 1}).payload == {"body": {"n": 1}}
+        assert list(client.post_stream("/stream")) == steps
+        raw = b"POST /count HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}"
+        assert _exchange(server.address, raw, None) == ((200,), False)
+
+
+def test_conflicting_content_lengths_are_refused_before_any_route_runs():
+    # RFC 9112 §6.3: read with either length, the rest of this body would
+    # be taken for a second request (here a GET of /x).
+    calls = []
+    router = Router()
+    router.add("POST", "/count", lambda request: calls.append(request.body) or {})
+    post = b"POST /count HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n"
+    with ApiServer(router) as server:
+        smuggled = b"Content-Length: 33\r\n\r\n{}GET /x HTTP/1.1\r\nHost: x\r\n\r\n"
+        assert _exchange(server.address, post + smuggled, None) == ((400,), True)
+        assert calls == []
+        repeated = b"Content-Length: 2\r\n\r\n{}"  # identical copies merge
+        assert _exchange(server.address, post + repeated, None) == ((200,), False)
+        assert calls == [{}]
