@@ -344,14 +344,15 @@ class AdmissionController:
         queue_depth: int = 0,
         enqueue_items: int = 0,
         workers: int = 1,
-        p95_seconds: float = 0.0,
+        p95_seconds: float | Callable[[], float] = 0.0,
     ) -> AdmissionDecision:
         """Admit or refuse one request.
 
         ``enqueue_items`` is how many pool tasks the request would add
         (0 for a synchronous request that runs in the caller's thread);
         ``queue_depth``/``workers``/``p95_seconds`` describe the pool so
-        the shed path can compute an honest ``Retry-After``.
+        the shed path can compute an honest ``Retry-After``. A callable
+        ``p95_seconds`` is called on the shed path only.
         """
         if self.breaker is not None:
             self.breaker.check()
@@ -366,7 +367,9 @@ class AdmissionController:
                 f"queue depth {queue_depth} + {enqueue_items} item(s) would "
                 f"exceed the {self.max_queue_depth}-task bound; load shed",
                 retry_after_seconds=self._backlog_retry_after(
-                    queue_depth, workers, p95_seconds
+                    queue_depth,
+                    workers,
+                    p95_seconds() if callable(p95_seconds) else p95_seconds,
                 ),
             )
         return AdmissionDecision(

@@ -262,7 +262,7 @@ class ExplanationService:
                     queue_depth=self.pool.queue_depth,
                     enqueue_items=enqueue_items,
                     workers=self.pool.worker_count,
-                    p95_seconds=self.metrics.p95_latency_seconds(),
+                    p95_seconds=self.metrics.p95_latency_seconds,
                 )
             except RateLimitedError:
                 self.metrics.increment("requests_rate_limited")

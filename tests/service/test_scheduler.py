@@ -257,3 +257,30 @@ class TestMetricsSnapshot:
         assert snapshot["workers"] == 2
         assert snapshot["jobs_tracked"] == 1
         assert snapshot["item_latency"]["count"] == 2
+
+
+def test_admission_sorts_the_latency_window_only_to_shed(monkeypatch):
+    # Only the shed path's Retry-After reads the p95, which sorts up to
+    # 1,024 samples under the metrics lock.
+    from repro.errors import QueueFullError
+    from repro.service.metrics import LatencyWindow
+
+    calls = []
+    p95 = LatencyWindow.p95_seconds
+    monkeypatch.setattr(
+        LatencyWindow, "p95_seconds", lambda self: calls.append(1) or p95(self)
+    )
+    service = ExplanationService(StubEngine(), workers=1)
+    service.configure_admission(max_queue_depth=4)
+    try:
+        service.metrics.record_latency(0.5)
+        for _ in range(100):
+            service.admit(enqueue_items=1)
+        assert calls == []
+        for sheds in (1, 2):
+            with pytest.raises(QueueFullError) as refused:
+                service.admit(enqueue_items=5)
+            assert len(calls) == sheds
+        assert refused.value.retry_after_seconds > 0
+    finally:
+        service.shutdown()
