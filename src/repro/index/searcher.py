@@ -17,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.errors import IndexStateError
+from repro.errors import DocumentNotFoundError, IndexStateError
 from repro.index.inverted import InvertedIndex
 from repro.index.similarity import Bm25Similarity, CollectionView, Similarity
 from repro.utils.memo import Memo
@@ -70,11 +70,12 @@ class IndexSearcher:
                     continue
                 stats = term_stats[term]
                 for posting in postings:
+                    try:
+                        length = shard.document_length(posting.doc_id)
+                    except DocumentNotFoundError:
+                        continue  # removed since its posting was read
                     accumulator[posting.doc_id] += self.similarity.score(
-                        posting.frequency,
-                        shard.document_length(posting.doc_id),
-                        stats,
-                        field_stats,
+                        posting.frequency, length, stats, field_stats
                     )
         return dict(accumulator)
 
@@ -99,15 +100,18 @@ class IndexSearcher:
         scores: dict[str, float] = {}
         for shard in self.index.shards:
             for doc_id in shard.doc_ids:
-                length = shard.document_length(doc_id)
-                total = 0.0
-                for term in query_terms:
-                    total += self.similarity.score(
-                        shard.term_frequency(term, doc_id),
-                        length,
-                        term_stats[term],
-                        field_stats,
-                    )
+                try:
+                    length = shard.document_length(doc_id)
+                    total = 0.0
+                    for term in query_terms:
+                        total += self.similarity.score(
+                            shard.term_frequency(term, doc_id),
+                            length,
+                            term_stats[term],
+                            field_stats,
+                        )
+                except DocumentNotFoundError:
+                    continue  # removed since doc_ids was read
                 scores[doc_id] = total
         return scores
 

@@ -8,7 +8,8 @@ attach and a ``ReplicaIndex``):
 * a Dirichlet LM ``rank()`` reads ``doc_ids`` only on its segments,
   once each (the dense scorer's walk), never on the corpus-level view;
 * a document removed between ``score_all`` and top-k selection drops
-  out of the hits without an error.
+  out of the hits without an error, and so does one removed while
+  ``score_all`` scans the segment that holds it.
 
 ``doc_ids`` reads are counted through a wrapping property installed on
 every index class.
@@ -16,6 +17,8 @@ every index class.
 
 import pytest
 
+from repro.api.app import build_router
+from repro.api.client import InProcessClient
 from repro.core.engine import CredenceEngine, EngineConfig
 from repro.index.document import Document
 from repro.index.inverted import InvertedIndex
@@ -160,3 +163,52 @@ class TestRemovedWhileRanking:
             assert [(hit.doc_id, hit.score) for hit in hits] == expected
         finally:
             replica.close()
+
+
+class TestRemovedMidScan:
+    """A rank overlapping a removal skips the removed document: the scan
+    read its posting (or its id, for LM) before the removal and its
+    length after."""
+
+    def _remove_on_first_length_read(self, monkeypatch, index) -> list[str]:
+        """On the scan's first ``document_length`` call, remove the last
+        document of the same segment's postings for the first query
+        term, which the scan has yet to reach; returns its id."""
+        removed: list[str] = []
+        original = InvertedIndex.document_length
+        term = index.analyzer.analyze(QUERY)[0]
+
+        def document_length(segment, doc_id):
+            if not removed:
+                victim = [posting.doc_id for posting in segment.postings(term)][-1]
+                assert victim != doc_id
+                removed.append(victim)
+                index.remove(victim)
+            return original(segment, doc_id)
+
+        monkeypatch.setattr(InvertedIndex, "document_length", document_length)
+        return removed
+
+    @pytest.mark.parametrize("ranker_class", (Bm25Ranker, DirichletLmRanker))
+    @pytest.mark.parametrize("backend", ("inverted", "sharded-3"))
+    def test_rank_skips_a_document_removed_mid_scan(
+        self, backend, ranker_class, tmp_path, monkeypatch
+    ):
+        index, _ = _open(backend, tmp_path)
+        ranker = ranker_class(index)
+        removed = self._remove_on_first_length_read(monkeypatch, index)
+        ranking = ranker.rank(QUERY, len(DOCUMENTS))
+        assert len(removed) == 1
+        assert removed[0] not in ranking.doc_ids
+        after = ranker_class(index).rank(QUERY, len(DOCUMENTS))
+        assert sorted(ranking.doc_ids) == sorted(after.doc_ids)
+
+    def test_post_rank_skips_a_document_removed_mid_scan(self, tmp_path, monkeypatch):
+        index, _ = _open("sharded-3", tmp_path)
+        engine = CredenceEngine.from_index(index, EngineConfig(ranker="bm25"))
+        client = InProcessClient(build_router(engine))
+        removed = self._remove_on_first_length_read(monkeypatch, index)
+        response = client.post("/rank", {"query": QUERY, "k": K})
+        assert response.status == 200, response.payload
+        ranked = [entry["doc_id"] for entry in response.payload["ranking"]]
+        assert len(ranked) == K and removed[0] not in ranked
