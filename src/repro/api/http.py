@@ -269,17 +269,6 @@ def read_head(rfile) -> dict[str, str]:
     raise HeadError(431, f"more than {MAX_HEAD_LINES} header lines")
 
 
-_date = (0, "")  # (a second, its Date header value)
-
-
-def _http_date() -> str:
-    """The ``Date`` header value, formatted at most once a second."""
-    global _date
-    now = int(time.time())
-    if _date[0] != now:
-        _date = (now, formatdate(now, usegmt=True))
-    return _date[1]
-
 
 class _JsonRequestHandler(BaseHTTPRequestHandler):
     """Adapts :class:`BaseHTTPRequestHandler` to the router.
@@ -354,7 +343,7 @@ class _JsonRequestHandler(BaseHTTPRequestHandler):
         reason = self.responses.get(status, ("",))[0]
         head = [
             f"{self.protocol_version} {status} {reason}\r\n"
-            f"Server: {self.version_string()}\r\nDate: {_http_date()}\r\n"
+            f"Server: {self.version_string()}\r\nDate: {self.server.date()}\r\n"
         ]
         for name, value in headers:
             head.append(f"{name}: {value}\r\n")
@@ -516,6 +505,16 @@ class _ConnectionTrackingServer(ThreadingHTTPServer):
         self.closing = False
         self._connections: set[socket.socket] = set()
         self._connections_lock = threading.Lock()
+        self._date = (0, "")  # (a second, its Date header value)
+
+    def date(self) -> str:
+        """The ``Date`` header value, formatted at most once a second."""
+        now = int(time.time())
+        second, value = self._date
+        if second != now:
+            value = formatdate(now, usegmt=True)
+            self._date = (now, value)
+        return value
 
     def process_request(self, request, client_address):
         with self._connections_lock:
