@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 from urllib.parse import urlsplit
 
-from repro.api.http import HttpResponse, Request, Router, StreamingResponse
-from repro.api.http import read_head
+from repro.api.http import HttpResponse, Request, Router, StreamingResponse, read_head
 
 #: Methods safe to replay without the caller opting in.
 IDEMPOTENT_METHODS = frozenset({"GET", "DELETE"})

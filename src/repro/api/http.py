@@ -269,7 +269,6 @@ def read_head(rfile) -> dict[str, str]:
     raise HeadError(431, f"more than {MAX_HEAD_LINES} header lines")
 
 
-
 class _JsonRequestHandler(BaseHTTPRequestHandler):
     """Adapts :class:`BaseHTTPRequestHandler` to the router.
 
