@@ -227,6 +227,7 @@ class TestKeptAliveConnections:
             thread = threading.Thread(target=call)
             thread.start()
             thread.join(timeout=5)
+            assert not thread.is_alive()
             assert sockets[0].fileno() == -1  # closed as the thread ended
             assert client.get("/ping").status == 200
             kept = client._idle().connection
