@@ -4,7 +4,7 @@ The server table sends raw request bytes and records, for each row, the
 statuses answered and whether the server then closed the connection (a
 second request on the same socket goes unanswered). The client table
 points :class:`HttpClient` at a raw-socket server that answers with
-scripted bytes.
+scripted bytes, and records what the client refuses to send.
 """
 
 import email.parser
@@ -138,6 +138,12 @@ SERVER_ROWS = {
         b"{}",
         ((100, 200), False),
     ),
+    # RFC 9112 §3.2.2: a server accepts the absolute form of a target.
+    "absolute-form-target": (
+        b"POST http://x/count HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}",
+        None,
+        ((200,), False),
+    ),
 }
 
 
@@ -202,10 +208,18 @@ LAST = (
     True,
 )
 
-# first response -> (its status, its payload, connections accepted over
-# both calls)
+#: The first call of every row but the refusals: a POST with a body.
+POST = ("/count", None)
+
+#: A JSON 200 that keeps the connection open, its body after the head.
+OK_HEAD = b"200 OK\r\nContent-Type: application/json\r\nContent-Length: 8\r\n"
+
+# (the first call's path and headers, the first response) -> its status,
+# its payload and the connections accepted over both calls; or the error
+# the first call raises and the connections accepted
 CLIENT_ROWS = {
     "connection-close": (
+        POST,
         (
             b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
             b"Content-Length: 8\r\nConnection: close\r\n\r\n{\"n\": 1}",
@@ -214,6 +228,7 @@ CLIENT_ROWS = {
         (200, {"n": 1}, 2),
     ),
     "body-to-eof": (
+        POST,
         (
             b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n"
             b"{\"n\": 1, \"to\": \"eof\"}",
@@ -222,21 +237,69 @@ CLIENT_ROWS = {
         (200, {"n": 1, "to": "eof"}, 2),
     ),
     "no-content": (
+        POST,
         (b"HTTP/1.1 204 No Content\r\n\r\n", False),
         (204, "", 1),
     ),
+    "chunked-over-two-chunks": (
+        POST,
+        (
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            b"4\r\n{\"n\"\r\n4\r\n: 1}\r\n0\r\n\r\n",
+            False,
+        ),
+        (200, {"n": 1}, 1),
+    ),
+    "100-continue-then-200": (
+        POST,
+        (b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 " + OK_HEAD + b"\r\n{\"n\": 1}", False),
+        (200, {"n": 1}, 1),
+    ),
+    "http-1.0": (
+        POST,
+        (b"HTTP/1.0 " + OK_HEAD + b"\r\n{\"n\": 1}", True),
+        (200, {"n": 1}, 2),
+    ),
+    "http-1.0-keep-alive": (
+        POST,
+        (b"HTTP/1.0 " + OK_HEAD + b"Connection: keep-alive\r\n\r\n{\"n\": 1}", False),
+        (200, {"n": 1}, 1),
+    ),
+    "body-shorter-than-its-length": (
+        POST,
+        (b"HTTP/1.1 " + OK_HEAD + b"\r\n{\"n\"", True),
+        (http.client.IncompleteRead, 1),
+    ),
+    "status-not-a-number": (
+        POST,
+        (b"HTTP/1.1 abc OK\r\n\r\n", True),
+        (http.client.BadStatusLine, 1),
+    ),
+    # Refused before any connection opens, as http.client refuses them.
+    "cr-lf-in-a-header-value": (
+        ("/count", {"X-Tag": "a\r\nX-Injected: 1"}),
+        LAST,
+        (ValueError, 0),
+    ),
+    "space-in-the-path": (("/co unt", None), LAST, (http.client.InvalidURL, 0)),
 }
 
 
 @pytest.mark.parametrize("row", CLIENT_ROWS)
 def test_client_reads_each_response(row):
-    first, expected = CLIENT_ROWS[row]
-    with _ScriptedServer([first, LAST]) as scripted:
-        client = HttpClient(scripted.url, retry=RetryPolicy(max_attempts=1))
-        response = client.post("/count", {"n": 1})
-        second = client.post("/count", {"n": 2})
-        assert second.status == 200 and second.payload == {"n": 2}
-        got = (response.status, response.payload, scripted.accepted)
+    (path, headers), first, expected = CLIENT_ROWS[row]
+    with _ScriptedServer([first, LAST]) as scripted, HttpClient(
+        scripted.url, retry=RetryPolicy(max_attempts=1)
+    ) as client:
+        try:
+            response = client.post(path, {"n": 1}, headers=headers)
+        except Exception as error:  # noqa: BLE001 - the row names the type
+            got = (type(error), scripted.accepted)
+        else:
+            second = client.post("/count", {"n": 2})
+            assert second.status == 200 and second.payload == {"n": 2}
+            got = (response.status, response.payload, scripted.accepted)
     assert got == expected
 
 
