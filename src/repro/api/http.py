@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any, Callable, Iterable
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.errors import ApiError, BadRequestError, NotFoundError
 from repro.obs.trace import new_request_id
@@ -181,16 +181,13 @@ class Router:
             matched_path = True
             if route.method != request.method:
                 continue
-            bound = Request(
-                method=request.method,
-                path=request.path,
-                path_params=match.groupdict(),
-                query_params=request.query_params,
-                body=request.body,
-                headers=request.headers,
-            )
+            if params := match.groupdict():
+                # Matched on the raw path, so an escaped "/" stays inside
+                # its segment; the handler reads the decoded value.
+                params = {name: unquote(value) for name, value in params.items()}
+                request = replace(request, path_params=params)
             try:
-                result = route.handler(bound)
+                result = route.handler(request)
             except ApiError as error:
                 to_headers = getattr(error, "to_headers", None)
                 return HttpResponse(
@@ -293,7 +290,7 @@ class _JsonRequestHandler(BaseHTTPRequestHandler):
         """Read the request line and head. What the standard library
         refuses gets its status (400, 431 or 505); HTTP/0.9 and an
         obs-folded line get a 400. A refusal closes the connection."""
-        self.close_connection = True
+        self.close_connection, self.command = True, ""
         if self.server.closing:
             # Read after stop() began: close unanswered, as if the
             # server had closed first (Linux still delivers bytes that
@@ -324,6 +321,12 @@ class _JsonRequestHandler(BaseHTTPRequestHandler):
             return self.handle_expect_100()
         return True
 
+    def send_error(self, code: int, message: str | None = None, explain=None):
+        """Answer the standard library's own refusals, an unsupported
+        method (501) and a request line over 65,536 bytes (414), in JSON
+        like every other."""
+        self._refuse(code, message or self.responses[code][0])
+
     def _refuse(self, status: int, message: str, close: bool = True) -> bool:
         """Answer ``status`` with a ``BadRequestError`` payload; ``close``
         when where the request ends is unknown, so the next request
@@ -349,6 +352,8 @@ class _JsonRequestHandler(BaseHTTPRequestHandler):
             if name.lower() == "connection" and value.lower() == "close":
                 self.close_connection = True
         head.append("\r\n")
+        if self.command == "HEAD":
+            body = b""  # the head alone, its Content-Length kept
         self.wfile.write("".join(head).encode("latin-1") + body)
 
     def _respond(self, response: HttpResponse | TextResponse) -> None:
@@ -407,10 +412,8 @@ class _JsonRequestHandler(BaseHTTPRequestHandler):
             pass  # client went away mid-stream; nothing left to tell it
 
     def _handle(self, method: str) -> None:
-        parsed = urlparse(self.path)
-        query_params = {
-            key: values[0] for key, values in parse_qs(parsed.query).items()
-        }
+        # urlsplit, not urlparse: ";" belongs to the last path segment.
+        target = urlsplit(self.path)
         body = None
         declared = self.headers.get("content-length") or "0"
         if "," in declared:  # repeated: the copies must agree (RFC 9112 §6.3)
@@ -451,12 +454,11 @@ class _JsonRequestHandler(BaseHTTPRequestHandler):
             except ValueError:  # bad JSON, or bytes that are not text
                 self._refuse(400, "request body is not valid JSON", close=False)
                 return
+        query = {}
+        if target.query:  # most requests carry none
+            query = {key: values[0] for key, values in parse_qs(target.query).items()}
         request = Request(
-            method=method,
-            path=parsed.path,
-            query_params=query_params,
-            body=body,
-            headers=self.headers,
+            method, target.path, query_params=query, body=body, headers=self.headers
         )
         try:
             response = self.router.dispatch(request)
@@ -465,7 +467,7 @@ class _JsonRequestHandler(BaseHTTPRequestHandler):
             # which a kept-alive client takes for an idle close and
             # answers by sending the request again. What the failed
             # route left behind is unknown, so close the connection too.
-            logger.exception("unhandled error in %s %s", method, parsed.path)
+            logger.exception("unhandled error in %s %s", method, target.path)
             error = ApiError("internal server error")
             self._respond(
                 HttpResponse(

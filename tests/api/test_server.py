@@ -8,12 +8,13 @@ import logging
 import socket
 import threading
 import time
+from urllib.parse import quote
 
 import pytest
 
 from repro.api import http as api_http
-from repro.api.app import serve
-from repro.api.client import HttpClient, RetryPolicy
+from repro.api.app import build_router, serve
+from repro.api.client import HttpClient, InProcessClient, RetryPolicy
 from repro.api.http import ApiServer, Router, StreamingResponse
 from repro.datasets.covid import FAKE_NEWS_DOC_ID
 
@@ -363,6 +364,78 @@ class TestMalformedRequests:
             finally:
                 connection.close()
             assert len(counting.accepted) == 1
+
+
+    @pytest.mark.parametrize(
+        "sent, status",
+        [
+            (b"PUT /ping HTTP/1.1\r\nHost: x\r\n\r\n", 501),
+            (b"PATCH /ping HTTP/1.1\r\nHost: x\r\n\r\n", 501),
+            (b"OPTIONS /ping HTTP/1.1\r\nHost: x\r\n\r\n", 501),
+            (b"HEAD /ping HTTP/1.1\r\nHost: x\r\n\r\n", 501),
+            # exactly what the server reads before it refuses, so no
+            # unread byte turns its close into a reset
+            (b"GET /" + b"a" * (65537 - 5), 414),
+        ],
+        ids=["put", "patch", "options", "head", "65537-byte-request-line"],
+    )
+    def test_the_standard_library_s_refusals_answer_in_json(self, sent, status):
+        with _CountingServer() as counting:
+            with socket.create_connection(
+                counting.api.address, timeout=2
+            ) as sock:
+                sock.sendall(sent)
+                reply = _read_until_closed(sock)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status)
+        assert b"\r\ncontent-type: application/json" in head.lower()
+        assert b"\r\nconnection: close" in head.lower()
+        if sent.startswith(b"HEAD "):
+            assert body == b""  # a response to HEAD has no body
+        else:
+            assert json.loads(body)["error"] == "BadRequestError"
+
+
+class TestPathParameters:
+    """Path parameters are percent-decoded after the match, and ``;`` is
+    part of a segment."""
+
+    IDS = ("a", "a;v2", "a b", "café", "x/y")
+
+    @pytest.fixture(params=["http", "in-process"])
+    def client(self, request):
+        from repro.core.engine import CredenceEngine, EngineConfig
+        from repro.datasets.covid import covid_corpus
+
+        engine = CredenceEngine(
+            covid_corpus()[:8], EngineConfig(ranker="bm25", seed=5)
+        )
+        if request.param == "in-process":
+            yield InProcessClient(build_router(engine))
+            return
+        server = serve(engine, port=0)
+        try:
+            with HttpClient(server.url) as client:
+                yield client
+        finally:
+            server.stop()
+
+    def test_each_id_round_trips_percent_encoded(self, client):
+        documents = [
+            {"doc_id": doc_id, "body": f"a covid story, number {n}"}
+            for n, doc_id in enumerate(self.IDS)
+        ]
+        assert client.post("/index/documents", {"documents": documents}).status == 201
+        assert client.get("/documents/a;v2").payload["doc_id"] == "a;v2"
+        kept = list(self.IDS)
+        for doc_id in reversed(self.IDS):  # "a;v2" goes before "a"
+            removed = client.delete(f"/index/documents/{quote(doc_id, safe='')}")
+            assert (removed.status, removed.payload["removed"]) == (200, doc_id)
+            kept.remove(doc_id)
+            assert client.get(f"/documents/{quote(doc_id, safe='')}").status == 404
+            for other in kept:
+                found = client.get(f"/documents/{quote(other, safe='')}")
+                assert (found.status, found.payload["doc_id"]) == (200, other)
 
 
 class TestHttpClientStream:
