@@ -24,6 +24,7 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import re
 import threading
 import time
 import weakref
@@ -31,7 +32,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 from urllib.parse import urlsplit
 
-from repro.api.http import HttpResponse, Request, Router, StreamingResponse, read_head
+from repro.api.http import (
+    MAX_HEAD_LINE, HttpResponse, Request, Router, StreamingResponse, read_head,
+)
 
 #: Methods safe to replay without the caller opting in.
 IDEMPOTENT_METHODS = frozenset({"GET", "DELETE"})
@@ -168,42 +171,119 @@ class InProcessClient:
         }
 
 
-class _Response(http.client.HTTPResponse):
-    """An ``http.client`` response whose head :func:`read_head` reads
-    into ``headers``, a dict keyed by lower-cased name."""
+#: What ``http.client`` refuses to send: a control character or space in
+#: the target (CVE-2019-9740), a bad field name, or a CR or LF that would
+#: start a new line in a field's value.
+_BAD_TARGET = re.compile(r"[\x00-\x20\x7f]").search
+_FIELD_NAME = re.compile(r"[^:\s][^:\r\n]*").fullmatch
+_BAD_VALUE = re.compile(r"\n(?![ \t])|\r(?![ \t\n])").search
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}").match
 
-    def begin(self) -> None:
-        if self.headers is not None:
-            return  # already begun
-        version, status, reason = self._read_status()
-        while status == http.client.CONTINUE:
-            read_head(self.fp)
-            version, status, reason = self._read_status()
+
+class _WithReader:
+    """An ``http.client`` connection that reads every response through
+    one buffered reader, opened and closed with its socket."""
+
+    reader = None
+
+    def connect(self) -> None:
+        super().connect()
+        self.reader = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        if self.reader is not None:
+            self.reader.close()  # closing twice is harmless
+        super().close()
+
+
+class _Connection(_WithReader, http.client.HTTPConnection):
+    pass
+
+
+class _TlsConnection(_WithReader, http.client.HTTPSConnection):
+    pass
+
+
+def _read_exactly(reader, size: int) -> bytes:
+    data = reader.read(size)
+    if len(data) < size:
+        raise http.client.IncompleteRead(data, size - len(data))
+    return data
+
+
+def _chunks(reader) -> Iterator[bytes]:
+    """The data of each chunk of a chunked body; the trailer is dropped."""
+    while True:
+        line = reader.readline(MAX_HEAD_LINE + 1)
+        if len(line) > MAX_HEAD_LINE:
+            raise http.client.LineTooLong("chunk size")
+        if (size := _CHUNK_SIZE(line)) is None:
+            raise http.client.IncompleteRead(b"")
+        if not (size := int(size[0], 16)):
+            break
+        yield _read_exactly(reader, size + 2)[:-2]  # the data, then CRLF
+    read_head(reader)
+
+
+class _ResponseHead:
+    """A response's status and head, read past any 1xx response, and how
+    its body ends: at once (204, 304), after the last chunk, after
+    ``Content-Length`` bytes, or with the connection. ``close`` says
+    whether the connection ends with this response."""
+
+    __slots__ = ("status", "headers", "chunked", "length", "close")
+
+    def __init__(self, reader):
+        self.status = 100
+        while self.status < 200:  # 100 Continue, 103 Early Hints, ...
+            version = self._read_status(reader)
+            self.headers = headers = read_head(reader)
+        self.chunked = headers.get("transfer-encoding", "").lower() == "chunked"
+        length = headers.get("content-length", "")
+        self.length = int(length) if length.isdecimal() and not self.chunked else None
+        if self.status in (204, 304):
+            self.chunked, self.length = False, 0
+        connection = headers.get("connection", "").lower()
+        if version in ("HTTP/1.0", "HTTP/0.9"):
+            self.close = "keep-alive" not in connection and "keep-alive" not in headers
+        else:
+            self.close = "close" in connection
+        # a body without a length ends where the connection does
+        self.close |= self.length is None and not self.chunked
+
+    def _read_status(self, reader) -> str:
+        """Read a status line into ``status``, refused as ``http.client``
+        refuses it; return its version."""
+        line = str(reader.readline(MAX_HEAD_LINE + 1), "latin-1")
+        if len(line) > MAX_HEAD_LINE:
+            raise http.client.LineTooLong("status line")
+        if not line:
+            raise http.client.RemoteDisconnected("closed without a response")
+        version, status, *_ = line.split(None, 2) + ["", ""]
+        self.status = int(status) if status.isdecimal() else 0
+        if not version.startswith("HTTP/") or not 100 <= self.status <= 999:
+            raise http.client.BadStatusLine(line)
         if not version.startswith("HTTP/1.") and version != "HTTP/0.9":
             raise http.client.UnknownProtocol(version)
-        self.code = self.status = status
-        self.reason = reason.strip()
-        self.version = 10 if version in ("HTTP/1.0", "HTTP/0.9") else 11
-        self.headers = self.msg = read_head(self.fp)
-        self.chunked = self.headers.get("transfer-encoding", "").lower() == "chunked"
-        self.chunk_left = None
-        self.will_close = self._check_close()
-        length = self.headers.get("content-length", "")
-        self.length = int(length) if length.isdecimal() and not self.chunked else None
-        if status in (204, 304) or status < 200 or self._method == "HEAD":
-            self.length = 0
-        if self.length is None and not self.chunked:
-            self.will_close = True  # the body ends where the connection does
+        return version
+
+    def body(self, reader) -> bytes:
+        if self.chunked:
+            return b"".join(_chunks(reader))
+        if self.length is None:
+            return reader.read()
+        return _read_exactly(reader, self.length)
 
 
 class _Idle:
-    """A thread's kept-alive connection, closed when the thread ends (its
-    thread-local storage goes, and this with it) or the client closes."""
+    """A thread's kept-alive connection, closed (its socket and its
+    reader) when the thread ends (its thread-local storage goes, and this
+    with it) or the client closes."""
 
     __slots__ = ("connection", "__weakref__")
 
     def __init__(self):
-        self.connection: http.client.HTTPConnection | None = None
+        self.connection: _Connection | None = None
 
     def close(self) -> None:
         connection, self.connection = self.connection, None
@@ -216,10 +296,13 @@ class _Idle:
 class HttpClient:
     """A tiny JSON HTTP client for a live server, with bounded retries.
 
-    Each calling thread keeps one ``http.client`` connection alive across
-    :meth:`get`, :meth:`post`, :meth:`delete` and :meth:`post_stream`
-    (``HTTPSConnection`` for an ``https://`` base URL; a path prefix in
-    the base URL is kept). When a *reused* connection fails before any
+    Each calling thread keeps one connection alive across :meth:`get`,
+    :meth:`post`, :meth:`delete` and :meth:`post_stream`; a path prefix in
+    the base URL is kept. ``http.client`` only opens the connection
+    (``HTTPSConnection`` for an ``https://`` base URL, so it does TLS and
+    ``TCP_NODELAY``); each request then leaves in one ``sendall``, head and
+    body together, and every response is read through the connection's
+    one buffered reader. When a *reused* connection fails before any
     response byte arrives — the server closed it while idle — the request
     goes once more on a fresh connection; a failure on a fresh connection
     is the :class:`RetryPolicy`'s to handle. Any other error closes the
@@ -249,6 +332,13 @@ class HttpClient:
         self._url = urlsplit(self.base_url)
         if self._url.scheme not in ("http", "https"):
             raise ValueError(f"unsupported URL scheme in {base_url!r}")
+        # Host as http.client writes it: the port only when not the default
+        host, port = self._url.hostname, self._url.port
+        host = host if host.isascii() else host.encode("idna").decode()
+        host = f"[{host}]" if ":" in host else host
+        https = self._url.scheme == "https"
+        self._host = host if port in (None, 443 if https else 80) else f"{host}:{port}"
+        self._connection_class = _TlsConnection if https else _Connection
         self._local = threading.local()
         self._idles: weakref.WeakSet[_Idle] = weakref.WeakSet()
 
@@ -273,44 +363,46 @@ class HttpClient:
 
     def _connect(self) -> http.client.HTTPConnection:
         """A new, not yet opened connection to the server."""
-        connection_class = (
-            http.client.HTTPSConnection
-            if self._url.scheme == "https"
-            else http.client.HTTPConnection
-        )
-        connection = connection_class(
-            self._url.hostname, self._url.port, timeout=self.timeout
-        )
-        connection.response_class = _Response
-        return connection
+        url = self._url
+        return self._connection_class(url.hostname, url.port, timeout=self.timeout)
 
-    def _put_back(self, connection: http.client.HTTPConnection) -> None:
-        """Keep ``connection`` as this thread's idle one, or close it
-        when a call made during a stream already filled the slot."""
-        idle = self._idle()
-        if idle.connection is None:
-            idle.connection = connection
-        else:
-            connection.close()
-
-    def _exchange(
+    def _message(
         self,
         method: str,
         path: str,
         body: Any,
         headers: dict[str, str] | None,
         accept: str,
-    ) -> tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
-        """Send one request and read the response head.
-
-        The caller reads the body and then hands the connection back
-        with :meth:`_put_back`, or closes it.
-        """
-        request_headers = {"Accept": accept, **(headers or {})}
-        data = None
+    ) -> bytes:
+        """The request line, head and body ``http.client`` would send for
+        this call, in one ``bytes``. What it refuses raises here, before
+        any connection opens: ``InvalidURL`` for a control character or
+        space in the target, ``ValueError`` for a bad field."""
+        target = self._url.path + path
+        if _BAD_TARGET(target):
+            raise http.client.InvalidURL(f"control character in URL {target!r}")
+        data = b"" if body is None else json.dumps(body).encode("utf-8")
+        fields = {"Accept": accept, **(headers or {})}
+        implied = {"Host": self._host, "Accept-Encoding": "identity"}
         if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            request_headers["Content-Type"] = "application/json"
+            fields["Content-Type"] = "application/json"
+        if body is not None or method == "POST":
+            implied["Content-Length"] = len(data)
+        names = {name.lower() for name in fields}  # the caller's win
+        head = [f"{k}: {v}" for k, v in implied.items() if k.lower() not in names]
+        for name, value in fields.items():
+            if not (name.isascii() and _FIELD_NAME(name)) or _BAD_VALUE(value):
+                raise ValueError(f"invalid header field {name!r}: {value!r}")
+            head.append(f"{name}: {value}")
+        line = f"{method} {target} HTTP/1.1\r\n".encode("ascii")
+        return line + "\r\n".join([*head, "\r\n"]).encode("latin-1") + data
+
+    def _exchange(self, message: bytes) -> tuple[_Connection, _ResponseHead]:
+        """Send one request and read the response's status and head.
+
+        The caller reads the body and then hands the connection on with
+        :meth:`_release`, or closes it.
+        """
         # Take this thread's idle connection; while a stream holds it,
         # the slot is empty and this request opens its own.
         idle = self._idle()
@@ -319,10 +411,10 @@ class HttpClient:
         while True:
             reused = connection.sock is not None
             try:
-                connection.request(
-                    method, self._url.path + path, data, request_headers
-                )
-                return connection, connection.getresponse()
+                if not reused:
+                    connection.connect()
+                connection.sock.sendall(message)
+                return connection, _ResponseHead(connection.reader)
             except (ConnectionResetError, BrokenPipeError):
                 # How a connection the server closed while idle fails:
                 # the request could not be sent, or the connection ended
@@ -336,27 +428,29 @@ class HttpClient:
                 connection.close()
                 raise
 
-    def _finish(
-        self,
-        connection: http.client.HTTPConnection,
-        raw: http.client.HTTPResponse,
-    ) -> HttpResponse:
-        """Read the rest of ``raw`` and hand ``connection`` back."""
+    def _release(self, connection: _Connection, head: _ResponseHead) -> None:
+        """After a whole response, keep ``connection`` as this thread's
+        idle one; close it when the response ends it, or when a call made
+        during a stream already filled the slot."""
+        idle = self._idle()
+        if head.close or idle.connection is not None:
+            connection.close()
+        else:
+            idle.connection = connection
+
+    def _finish(self, connection: _Connection, head: _ResponseHead) -> HttpResponse:
+        """Read the body of ``head``'s response and release ``connection``."""
         try:
-            text = raw.read().decode("utf-8")
+            text = head.body(connection.reader).decode("utf-8")
         except BaseException:
             connection.close()
             raise
-        self._put_back(connection)
+        self._release(connection, head)
         # Non-JSON bodies (Prometheus exposition) come back as the raw
         # string payload.
-        content_type = raw.headers.get("content-type", "")
-        payload = (
-            json.loads(text)
-            if content_type.startswith("application/json")
-            else text
-        )
-        return HttpResponse(raw.status, payload, headers=raw.headers)
+        is_json = head.headers.get("content-type", "").startswith("application/json")
+        payload = json.loads(text) if is_json else text
+        return HttpResponse(head.status, payload, headers=head.headers)
 
     def _send(
         self,
@@ -367,9 +461,8 @@ class HttpClient:
     ) -> HttpResponse:
         """One HTTP exchange; 4xx/5xx come back as responses, transport
         failures raise (``OSError`` or ``http.client.HTTPException``)."""
-        return self._finish(
-            *self._exchange(method, path, body, headers, "application/json")
-        )
+        message = self._message(method, path, body, headers, "application/json")
+        return self._finish(*self._exchange(message))
 
     def _request(
         self,
@@ -434,9 +527,8 @@ class HttpClient:
         body: Any = None,
         headers: dict[str, str] | None = None,
     ) -> Iterator[dict]:
-        """POST to a streaming route; yields NDJSON chunks as they
-        arrive (``http.client`` decodes the chunked framing; lines arrive
-        as the server sends them). Never retried by the policy — a
+        """POST to a streaming route; yields each NDJSON line as soon as
+        the chunk that ends it arrives. Never retried by the policy — a
         stream is not idempotent once partially consumed. A pre-stream
         refusal is yielded as one ``{"event": "rejected", ...}`` chunk.
 
@@ -444,11 +536,10 @@ class HttpClient:
         (a call made meanwhile opens its own); closing the generator
         early closes the connection.
         """
-        connection, raw = self._exchange(
-            "POST", path, body, headers, "application/x-ndjson"
-        )
-        if not 200 <= raw.status < 300:
-            refusal = self._finish(connection, raw)
+        message = self._message("POST", path, body, headers, "application/x-ndjson")
+        connection, head = self._exchange(message)
+        if not 200 <= head.status < 300:
+            refusal = self._finish(connection, head)
             payload = refusal.payload
             yield {
                 "event": "rejected",
@@ -457,12 +548,17 @@ class HttpClient:
                 **(payload if isinstance(payload, dict) else {}),
             }
             return
+        reader = connection.reader
         try:
-            for line in raw:
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
+            rest = b""
+            for data in _chunks(reader) if head.chunked else (head.body(reader),):
+                *lines, rest = (rest + data).split(b"\n")
+                for line in lines:
+                    if line.strip():
+                        yield json.loads(line)
+            if rest.strip():
+                yield json.loads(rest)
         except BaseException:
             connection.close()
             raise
-        self._put_back(connection)
+        self._release(connection, head)

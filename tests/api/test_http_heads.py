@@ -324,6 +324,31 @@ def test_neither_end_reads_a_head_with_the_email_package(monkeypatch):
         assert _exchange(server.address, raw, None) == ((200,), False)
 
 
+def test_the_client_sends_nothing_through_http_client_s_request_path(
+    monkeypatch,
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a request went through http.client")
+
+    monkeypatch.setattr(http.client.HTTPConnection, "request", refuse)
+    monkeypatch.setattr(http.client.HTTPConnection, "getresponse", refuse)
+    monkeypatch.setattr(http.client.HTTPResponse, "begin", refuse)
+    router = Router()
+    for method in ("GET", "DELETE"):
+        router.add(method, "/ping", lambda request: {"ok": request.method})
+    router.add("POST", "/count", lambda request: {"body": request.body})
+    steps = [{"step": 0}, {"step": 1}]
+    router.add("POST", "/stream", lambda request: StreamingResponse(200, steps))
+    with ApiServer(router) as server, HttpClient(
+        server.url, retry=RetryPolicy(max_attempts=1)
+    ) as client:
+        assert client.get("/ping").payload == {"ok": "GET"}
+        assert client.post("/count", {"n": 1}).payload == {"body": {"n": 1}}
+        assert client.delete("/ping").payload == {"ok": "DELETE"}
+        assert list(client.post_stream("/stream")) == steps
+        assert client.post("/count").payload == {"body": None}
+
+
 def test_conflicting_content_lengths_are_refused_before_any_route_runs():
     # RFC 9112 §6.3: read with either length, the rest of this body would
     # be taken for a second request (here a GET of /x).
