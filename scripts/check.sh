@@ -19,9 +19,11 @@ python -m pytest -x -q -W error::DeprecationWarning
 echo
 echo "== leaks: the API suite with unclosed sockets as errors =="
 # Python cannot import pytest while it reads its own -W flags, so the
-# unraisable-exception filter goes to pytest's -W instead.
+# unraisable-exception filter goes to pytest's -W instead. The CLI's jobs
+# and metrics tests drive HttpClient over real sockets too.
 python -X dev -W error::ResourceWarning -m pytest -q \
-    -W error::pytest.PytestUnraisableExceptionWarning tests/api
+    -W error::pytest.PytestUnraisableExceptionWarning tests/api \
+    tests/test_cli_jobs.py tests/test_cli_metrics.py
 
 echo
 echo "== smoke: search-strategy benchmark (beam multi-edit, anytime deadline) =="
