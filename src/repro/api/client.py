@@ -2,9 +2,9 @@
 
 :class:`InProcessClient` dispatches through a :class:`Router` without a
 socket — the integration-test workhorse. :class:`HttpClient` speaks real
-HTTP to a running :class:`~repro.api.http.ApiServer` over one kept-alive
-``http.client`` connection per calling thread, so a sequence of calls
-pays for one TCP connection, not one each.
+HTTP/1.1 to a running :class:`~repro.api.http.ApiServer` over one
+kept-alive connection per calling thread, so a sequence of calls pays
+for one TCP connection, not one each.
 
 Both understand the serving-hardening surface: request headers
 (``X-Client-Id``), the NDJSON streaming route (:meth:`post_stream`),
@@ -177,6 +177,7 @@ class InProcessClient:
 _BAD_TARGET = re.compile(r"[\x00-\x20\x7f]").search
 _FIELD_NAME = re.compile(r"[^:\s][^:\r\n]*").fullmatch
 _BAD_VALUE = re.compile(r"\n(?![ \t])|\r(?![ \t\n])").search
+#: A chunk's size in hex, before any chunk extension.
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}").match
 
 
