@@ -85,8 +85,7 @@ class InvertedIndex:
         #: ``(p,)`` for every position ``p`` a document has reached so
         #: far, so it is as long as the longest document added (56 B per
         #: position). Most postings hold one position; sharing their
-        #: tuples spares ingest one allocation per posting, and with it
-        #: part of the cyclic collector's passes over the growing index.
+        #: tuples spares ingest one allocation per posting.
         self._single_positions: list[tuple[int]] = []
         # Guards mutations, the memoized stats, and the multi-step read
         # accessors: the service layer reads from worker threads while
@@ -158,12 +157,9 @@ class InvertedIndex:
                 postings = index.get(term)
                 if postings is None:
                     postings = index[term] = PostingsList(term)
-                postings.add(
-                    Posting(
-                        doc_id,
-                        frequency,
-                        seen if frequency == 1 else tuple(seen),
-                    )
+                postings.frequencies[doc_id] = frequency
+                postings.positions[doc_id] = (
+                    seen if frequency == 1 else tuple(seen)
                 )
             # Last, so a reader that sees the new version sees the
             # whole document: a version-keyed memo filled mid-add holds

@@ -42,7 +42,7 @@ from repro.errors import (
     ReadOnlyIndexError,
 )
 from repro.index.document import Document
-from repro.index.postings import Posting, PostingsList
+from repro.index.postings import PostingsList
 from repro.index.sharding import (
     MergedStats,
     RoundRobinRouter,
@@ -143,16 +143,13 @@ class PackedIndex(_ReadOnlyMutations):
             plist = None
         else:
             plist = PostingsList(term)
+            doc_id = self._segment.doc_id
             for doc_ordinal, frequency, positions in (
                 self._segment.postings_entries(ordinal)
             ):
-                plist.add(
-                    Posting(
-                        self._segment.doc_id(doc_ordinal),
-                        frequency,
-                        positions,
-                    )
-                )
+                key = doc_id(doc_ordinal)
+                plist.frequencies[key] = frequency
+                plist.positions[key] = positions
         self._postings[term] = plist
         return plist
 

@@ -16,8 +16,8 @@ from typing import Iterator
 class Posting:
     """One document's entry in a term's postings list.
 
-    Slotted: an index holds one per (term, document) pair, and a posting
-    without a ``__dict__`` takes 56 bytes instead of 96.
+    A value built on request (:meth:`PostingsList.get`, iteration): a
+    postings list stores its entries in two maps, not as postings.
     """
 
     doc_id: str
@@ -31,44 +31,70 @@ class Posting:
             raise ValueError("positions length must equal frequency")
 
 
-@dataclass
+@dataclass(slots=True)
 class PostingsList:
-    """All postings for a single term, with collection-level counters."""
+    """All postings for a single term, with collection-level counters.
+
+    Two maps keyed by doc id, both in insertion order, hold the entries:
+    no object per posting, and the cyclic collector never tracks a map
+    from str to int, nor a tuple of ints once a collection has seen it.
+    The index writes the maps directly; :meth:`get` and iteration read
+    only ``positions`` (a posting's frequency is its count of positions),
+    so a reader without the index lock never pairs the frequency of one
+    version of a document with the positions of another.
+    """
 
     term: str
-    _postings: dict[str, Posting] = field(default_factory=dict)
+    #: doc id -> term frequency.
+    frequencies: dict[str, int] = field(default_factory=dict)
+    #: doc id -> positions, ordered like ``frequencies``.
+    positions: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     def add(self, posting: Posting) -> None:
-        if posting.doc_id in self._postings:
+        if posting.doc_id in self.frequencies:
             raise ValueError(
                 f"duplicate posting for term {self.term!r}, doc {posting.doc_id!r}"
             )
-        self._postings[posting.doc_id] = posting
+        self.frequencies[posting.doc_id] = posting.frequency
+        self.positions[posting.doc_id] = posting.positions
 
     def remove(self, doc_id: str) -> bool:
         """Remove a document's posting; return True if it existed."""
-        return self._postings.pop(doc_id, None) is not None
+        if self.frequencies.pop(doc_id, None) is None:
+            return False
+        del self.positions[doc_id]
+        return True
+
+    def _posting(self, doc_id: str, positions: tuple[int, ...]) -> Posting:
+        # Only a posting added without positions reads the other map.
+        return Posting(
+            doc_id, len(positions) or self.frequencies[doc_id], positions
+        )
 
     def get(self, doc_id: str) -> Posting | None:
-        return self._postings.get(doc_id)
+        positions = self.positions.get(doc_id)
+        return None if positions is None else self._posting(doc_id, positions)
 
     @property
     def document_frequency(self) -> int:
         """Number of documents containing the term (df)."""
-        return len(self._postings)
+        return len(self.frequencies)
 
     @property
     def collection_frequency(self) -> int:
         """Total occurrences of the term across the collection (cf)."""
-        return sum(posting.frequency for posting in self)
+        return sum(self.frequencies.values())
 
     def __iter__(self) -> Iterator[Posting]:
-        # A snapshot taken in one C-level call: a reader iterating without
-        # the index lock never sees the dict change size under it.
-        return iter(tuple(self._postings.values()))
+        # A snapshot copied in one C-level call: a reader iterating
+        # without the index lock never sees the map change size under it.
+        return (
+            self._posting(doc_id, positions)
+            for doc_id, positions in self.positions.copy().items()
+        )
 
     def __len__(self) -> int:
-        return len(self._postings)
+        return len(self.frequencies)
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._postings
+        return doc_id in self.frequencies

@@ -69,13 +69,15 @@ class IndexSearcher:
                 if postings is None:
                     continue
                 stats = term_stats[term]
-                for posting in postings:
+                # One snapshot of the map: a concurrent add or remove
+                # cannot change its size under the loop.
+                for doc_id, frequency in postings.frequencies.copy().items():
                     try:
-                        length = shard.document_length(posting.doc_id)
+                        length = shard.document_length(doc_id)
                     except DocumentNotFoundError:
                         continue  # removed since its posting was read
-                    accumulator[posting.doc_id] += self.similarity.score(
-                        posting.frequency, length, stats, field_stats
+                    accumulator[doc_id] += self.similarity.score(
+                        frequency, length, stats, field_stats
                     )
         return dict(accumulator)
 

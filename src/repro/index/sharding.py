@@ -161,8 +161,13 @@ class MergedStats:
         total_terms: int = 0,
     ):
         """Empty, or restored from stored ``(term, df, cf)`` rows."""
-        #: term -> [document_frequency, collection_frequency]
-        self._terms = {term: [df, cf] for term, df, cf in terms}
+        #: term -> document frequency, and term -> collection frequency:
+        #: two int maps in one order, which the collector never tracks.
+        self._df: dict[str, int] = {}
+        self._cf: dict[str, int] = {}
+        for term, df, cf in terms:
+            self._df[term] = df
+            self._cf[term] = cf
         self.document_count = document_count
         self.total_terms = total_terms
 
@@ -175,49 +180,48 @@ class MergedStats:
         so a new term joins the merged order where a single index's
         postings dict would place it.
         """
-        merged = self._terms
+        df, cf = self._df, self._cf
         for term, frequency in counts.items():
-            entry = merged.get(term)
-            if entry is None:
-                merged[term] = [1, frequency]
-            else:
-                entry[0] += 1
-                entry[1] += frequency
+            df[term] = df.get(term, 0) + 1
+            cf[term] = cf.get(term, 0) + frequency
         self.document_count += 1
         self.total_terms += length
 
     def remove_document(self, counts: Mapping[str, int], length: int) -> None:
         """Account for one removed document given its term-frequency vector."""
-        merged = self._terms
+        df, cf = self._df, self._cf
         for term, frequency in counts.items():
-            entry = merged[term]
-            entry[0] -= 1
-            entry[1] -= frequency
-            if entry[0] == 0:
-                del merged[term]
+            if df[term] == 1:
+                del df[term], cf[term]
+            else:
+                df[term] -= 1
+                cf[term] -= frequency
         self.document_count -= 1
         self.total_terms -= length
 
     def document_frequency(self, term: str) -> int:
-        entry = self._terms.get(term)
-        return entry[0] if entry else 0
+        return self._df.get(term, 0)
 
     def collection_frequency(self, term: str) -> int:
-        entry = self._terms.get(term)
-        return entry[1] if entry else 0
+        return self._cf.get(term, 0)
 
     @property
     def unique_terms(self) -> int:
-        return len(self._terms)
+        return len(self._df)
 
     def terms(self) -> list[str]:
-        return list(self._terms)
+        return list(self._df)
+
+    def rows(self) -> tuple[tuple[str, int, int], ...]:
+        """``(term, df, cf)`` per term, in merged insertion order."""
+        cf = self._cf
+        return tuple((term, df, cf[term]) for term, df in self._df.items())
 
     def stats(self) -> CollectionStats:
         return CollectionStats(
             document_count=self.document_count,
             total_terms=self.total_terms,
-            unique_terms=len(self._terms),
+            unique_terms=len(self._df),
         )
 
 
@@ -248,11 +252,12 @@ class MergedPostings:
 
     Duck-types the read surface of
     :class:`~repro.index.postings.PostingsList` (iteration, ``get``,
-    df/cf, membership). Iteration yields shard 0's postings first, then
-    shard 1's, and so on — callers that need global corpus order
-    (phrase/boolean search) already re-sort by ``ordinals``, and scoring
-    accumulates per document, so the inter-shard order is never
-    observable in results.
+    df/cf, membership), not its two maps: a reader of (doc id, tf)
+    pairs fans out over the segments, as the searcher does. Iteration
+    yields shard 0's postings first, then shard 1's, and so on —
+    callers that need global corpus order (phrase/boolean search)
+    already re-sort by ``ordinals``, and scoring accumulates per
+    document, so the inter-shard order is never observable in results.
     """
 
     def __init__(self, term: str, parts: Sequence[PostingsList]):
@@ -605,10 +610,7 @@ class ShardedIndex(SegmentedReader):
                     shard.export_snapshot() for shard in self.shards
                 ),
                 placements=tuple(self._assignments.items()),
-                merged_terms=tuple(
-                    (term, entry[0], entry[1])
-                    for term, entry in self._merged._terms.items()
-                ),
+                merged_terms=self._merged.rows(),
                 router=self.router.name,
                 cursor=(
                     self.router.cursor
