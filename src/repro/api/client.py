@@ -365,7 +365,9 @@ class HttpClient:
     def _connect(self) -> http.client.HTTPConnection:
         """A new, not yet opened connection to the server."""
         url = self._url
-        return self._connection_class(url.hostname, url.port, timeout=self.timeout)
+        # An explicit port: http.client would read one off an IPv6 literal.
+        port = url.port or (443 if url.scheme == "https" else 80)
+        return self._connection_class(url.hostname, port, timeout=self.timeout)
 
     def _message(
         self,

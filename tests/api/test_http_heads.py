@@ -363,3 +363,13 @@ def test_conflicting_content_lengths_are_refused_before_any_route_runs():
         repeated = b"Content-Length: 2\r\n\r\n{}"  # identical copies merge
         assert _exchange(server.address, post + repeated, None) == ((200,), False)
         assert calls == [{}]
+
+
+@pytest.mark.parametrize(
+    "url, port",
+    (("http://[::1]", 80), ("https://[::1]", 443), ("http://[::1]:8193", 8193)),
+)
+def test_an_ipv6_base_url_connects_to_the_literal_on_the_scheme_s_port(url, port):
+    # Without a port, http.client would read host ':' and port 1 off '::1'.
+    connection = HttpClient(url)._connect()
+    assert (connection.host, connection.port) == ("::1", port)
