@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo gate: the tier-1 test suite, the API suite's leak check, the
-# benchmark smokes, the coverage floor, the examples over real HTTP, the
-# paper's walk-through and the quickstart smoke.
+# benchmark smokes, the paper's figure and ablation scripts, the coverage
+# floor, the examples over real HTTP, the paper's walk-through and the
+# quickstart smoke.
 #
 # Tier-1 runs once, with DeprecationWarning as an error so no
 # deprecated shim can come back. The smokes assert what the suite does
@@ -56,6 +57,12 @@ OBS_SMOKE=1 python -m pytest -q benchmarks/bench_obs.py
 echo
 echo "== smoke: large-eval benchmark (quality floors + tier equivalence) =="
 EVAL_SMOKE=1 python -m pytest -q benchmarks/bench_large_eval.py
+
+echo
+echo "== paper scripts: figures, ablations and extensions, once, untimed =="
+python -m pytest -q --benchmark-disable benchmarks/bench_fig*.py \
+    benchmarks/bench_ablation_*.py benchmarks/bench_extension_*.py \
+    benchmarks/bench_substrates.py
 
 echo
 echo "== smoke: perfbench correctness, all four workloads (counterfactual recheck, packed vs in-memory top-k, store payloads and lost writes, Doc2Vec fidelity) =="
