@@ -2,7 +2,7 @@
 
 Every figure benchmark runs against the canonical demo engine (neural
 retrieve-rerank pipeline over the synthetic COVID corpus, DEMO_SEED) so
-printed artefacts line up with EXPERIMENTS.md. Engines are session-scoped
+printed artefacts line up with EVAL_REPORT.md. Engines are session-scoped
 and must be treated as read-only.
 """
 

@@ -2,7 +2,7 @@
 
 The benchmarks print the same artefacts the paper's figures show; this
 module renders them as aligned monospace tables (and Markdown for
-EXPERIMENTS.md).
+EVAL_REPORT.md).
 """
 
 from __future__ import annotations
