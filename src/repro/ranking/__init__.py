@@ -1,13 +1,13 @@
 """Ranking substrate: black-box rankers over the index.
 
-``Ranker`` is the paper's model ``M``; ``RankingFunction`` is the paper's
-``R(q, d, D, M)``. The counterfactual explainers depend only on these two
-interfaces, which is what makes them model-agnostic: any object that can
-(1) produce a top-k ranking and (2) score arbitrary text against a query
-can be explained.
+``Ranker`` is the paper's model ``M``, and ``Ranking.rank_of`` gives the
+paper's ``R(q, d, D, M)``. The counterfactual explainers depend only on
+the ``Ranker`` interface and the ``ScoringSession`` it opens, which is
+what makes them model-agnostic: any object that can (1) produce a top-k
+ranking and (2) score arbitrary text against a query can be explained.
 """
 
-from repro.ranking.base import RankedDocument, Ranker, Ranking, RankingFunction
+from repro.ranking.base import RankedDocument, Ranker, Ranking
 from repro.ranking.bm25 import Bm25Ranker
 from repro.ranking.cache import CountingRanker, ScoreCache
 from repro.ranking.features import FeatureExtractor, QueryDocumentFeatures
@@ -30,7 +30,6 @@ __all__ = [
     "RankedDocument",
     "Ranker",
     "Ranking",
-    "RankingFunction",
     "Bm25Ranker",
     "CountingRanker",
     "ScoreCache",

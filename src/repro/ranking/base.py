@@ -9,7 +9,7 @@ Rankers are treated as black boxes by everything in :mod:`repro.core`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.errors import RankingError
@@ -176,44 +176,3 @@ class Ranker(ABC):
         from repro.ranking.session import NaiveScoringSession
 
         return NaiveScoringSession(self, query, pool)
-
-
-@dataclass
-class RankingFunction:
-    """The paper's ``R(q, d, D, M)`` with invocation accounting.
-
-    Wraps a ranker and counts how many query–document scorings the
-    counterfactual search performs — the cost metric reported by the
-    efficiency benchmarks. ``calls`` counts *logical* scorings (one per
-    candidate document per evaluation, the paper's metric);
-    ``physical_scorings`` counts texts actually pushed through the
-    model, which scoring sessions make much smaller.
-    """
-
-    ranker: Ranker
-    calls: int = 0
-    physical_scorings: int = 0
-    _last_ranking: Ranking | None = field(default=None, repr=False)
-
-    def rank_within(
-        self, query: str, doc_id: str, candidates: Sequence[Document]
-    ) -> int:
-        """Rank of ``doc_id`` when ``candidates`` are ranked for ``query``."""
-        self.calls += len(candidates)
-        self.physical_scorings += len(candidates)
-        ranking = self.ranker.rank_candidates(query, candidates)
-        self._last_ranking = ranking
-        rank = ranking.rank_of(doc_id)
-        if rank is None:
-            raise RankingError(f"{doc_id!r} missing from candidate ranking")
-        return rank
-
-    @property
-    def last_ranking(self) -> Ranking | None:
-        """The full ranking produced by the most recent call."""
-        return self._last_ranking
-
-    def reset(self) -> None:
-        self.calls = 0
-        self.physical_scorings = 0
-        self._last_ranking = None

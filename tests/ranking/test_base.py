@@ -1,12 +1,9 @@
-"""Tests for Ranking / RankedDocument / RankingFunction."""
+"""Tests for Ranking / RankedDocument."""
 
 import pytest
 
 from repro.errors import RankingError
-from repro.index.document import Document
-from repro.index.inverted import InvertedIndex
-from repro.ranking.base import RankedDocument, Ranking, RankingFunction
-from repro.ranking.bm25 import Bm25Ranker
+from repro.ranking.base import RankedDocument, Ranking
 
 
 def make_ranking(*doc_ids: str) -> Ranking:
@@ -65,43 +62,3 @@ class TestRanking:
     def test_to_dicts(self):
         payload = make_ranking("a").to_dicts()
         assert payload == [{"doc_id": "a", "score": 1.0, "rank": 1}]
-
-
-class TestRankingFunction:
-    @pytest.fixture()
-    def ranker(self, tiny_index):
-        return Bm25Ranker(tiny_index)
-
-    def test_rank_within_counts_calls(self, ranker, tiny_docs):
-        function = RankingFunction(ranker)
-        rank = function.rank_within("covid outbreak", "d1", tiny_docs)
-        assert rank >= 1
-        assert function.calls == len(tiny_docs)
-
-    def test_missing_candidate_raises(self, ranker, tiny_docs):
-        function = RankingFunction(ranker)
-        with pytest.raises(RankingError):
-            function.rank_within("covid", "not-there", tiny_docs)
-
-    def test_last_ranking_exposed(self, ranker, tiny_docs):
-        function = RankingFunction(ranker)
-        function.rank_within("covid", "d1", tiny_docs)
-        assert function.last_ranking is not None
-        assert len(function.last_ranking) == len(tiny_docs)
-
-    def test_reset(self, ranker, tiny_docs):
-        function = RankingFunction(ranker)
-        function.rank_within("covid", "d1", tiny_docs)
-        function.reset()
-        assert function.calls == 0
-        assert function.last_ranking is None
-
-    def test_substituted_document_changes_rank(self, ranker, tiny_docs):
-        function = RankingFunction(ranker)
-        baseline = function.rank_within("covid outbreak", "d1", tiny_docs)
-        gutted = [
-            Document("d1", "nothing relevant here") if d.doc_id == "d1" else d
-            for d in tiny_docs
-        ]
-        perturbed = function.rank_within("covid outbreak", "d1", gutted)
-        assert perturbed > baseline
