@@ -12,8 +12,9 @@ log.
 
 The load-bearing invariant is **tracing is invisible**: explanations
 are byte-identical with tracing on or off (pinned by
-``tests/obs/test_equivalence.py``), and the disabled overhead is ~0
-(pinned by ``benchmarks/BENCH_obs.json``).
+``tests/obs/test_equivalence.py``), a disabled instrumentation point is
+one ``getattr``, and a traced request records a fixed set of spans
+however much work it does (pinned by ``tests/obs/test_span_counts.py``).
 """
 
 from repro.obs.exporters import DEFAULT_RING_CAPACITY, JsonlExporter, RingExporter

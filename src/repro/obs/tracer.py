@@ -28,8 +28,8 @@ class Tracer:
 
     ``enabled=False`` builds a tracer that never installs a context, so
     every downstream instrumentation point stays on its one-``getattr``
-    no-op path — the structural zero-cost mode the equivalence suite and
-    ``BENCH_obs.json`` pin.
+    no-op path — the structural zero-cost mode the equivalence suite
+    pins.
     """
 
     def __init__(

@@ -5,6 +5,7 @@ transport, no socket needed."""
 
 from __future__ import annotations
 
+import threading
 import urllib.error
 
 import pytest
@@ -111,6 +112,50 @@ class TestLoadShedding:
             assert client.post("/explanations", _explain_body()).status == 200
         finally:
             service.shutdown()
+
+
+class TestFlood:
+    def test_flood_is_refused_only_with_contract_statuses(self, engine):
+        # Four chatty clients send five requests each against a budget
+        # of 2 per second and a queue bound of 8; every third request
+        # is a 3-item batch job.
+        service = ExplanationService(engine, workers=2).configure_admission(
+            rate_limit=2.0, max_queue_depth=8, default_deadline_ms=5_000.0
+        )
+        doc_ids = [entry.doc_id for entry in engine.rank("covid outbreak", 5)]
+        client = _client(engine, service)
+        responses = []
+
+        def flood(index: int) -> None:
+            headers = {"X-Client-Id": f"flood-{index}"}
+            for turn in range(5):
+                if turn % 3 == 2:
+                    path, body = "/jobs", {
+                        "requests": [
+                            _explain_body(doc_ids[j % len(doc_ids)])
+                            for j in range(turn, turn + 3)
+                        ],
+                        "priority": "batch",
+                    }
+                else:
+                    doc_id = doc_ids[(index + turn) % len(doc_ids)]
+                    path, body = "/explanations", _explain_body(doc_id)
+                responses.append(client.post(path, body, headers=headers))
+
+        threads = [threading.Thread(target=flood, args=(i,)) for i in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            service.shutdown()
+        assert len(responses) == 20
+        statuses = {response.status for response in responses}
+        assert statuses <= {200, 202, 429, 503}, statuses
+        refused = [r for r in responses if r.status in (429, 503)]
+        assert refused, "the flood was fully absorbed"
+        assert all("Retry-After" in r.headers for r in refused)
 
 
 class TestBreakerAndDraining:

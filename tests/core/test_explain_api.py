@@ -117,6 +117,31 @@ class TestEngineExplain:
         with pytest.raises(RankingError):
             bm25_engine.explain(ExplainRequest(QUERY, "markets-0002"))
 
+    @pytest.mark.parametrize(
+        "strategy, explainer, knobs",
+        [
+            ("document/sentence-removal", "document_explainer", {}),
+            ("query/augmentation", "query_explainer", {"threshold": 2}),
+        ],
+    )
+    def test_dispatch_matches_the_direct_explainer(
+        self, bm25_engine, strategy, explainer, knobs
+    ):
+        # Off-default n, k and threshold: a binding that drops one of
+        # them changes the dispatched payload.
+        direct = getattr(bm25_engine, explainer).explain(
+            QUERY, FAKE_NEWS_DOC_ID, n=2, k=5, **knobs
+        )
+        dispatched = bm25_engine.explain(
+            ExplainRequest(
+                QUERY, FAKE_NEWS_DOC_ID, strategy=strategy, n=2, k=5, **knobs
+            )
+        )
+        assert len(direct) == 2
+        assert [e.to_dict() for e in dispatched.result] == [
+            e.to_dict() for e in direct
+        ]
+
     def test_response_envelope_dict(self, bm25_engine):
         payload = bm25_engine.explain(
             ExplainRequest(QUERY, FAKE_NEWS_DOC_ID)

@@ -107,6 +107,38 @@ class TestCustomRegistry:
         assert first is second
         assert len(calls) == 1
 
+    def test_batch_builds_each_explainer_once(self, covid_documents):
+        registry = ExplainerRegistry()
+        builds, explains = [], []
+
+        class _CountingExplainer(_NullExplainer):
+            def explain(self, request):
+                explains.append(request)
+                return super().explain(request)
+
+        def factory(name):
+            def build(engine):
+                builds.append(name)
+                return _CountingExplainer()
+
+            return build
+
+        for name in ("test/a", "test/b"):
+            registry.register(name)(factory(name))
+        engine = CredenceEngine(
+            covid_documents,
+            EngineConfig(ranker="bm25", seed=5),
+            registry=registry,
+        )
+        requests = [
+            ExplainRequest("covid outbreak", "anything", strategy=name)
+            for name in ("test/a", "test/b") * 3
+        ]
+        responses = engine.explain_batch(requests)
+        assert all(response.ok for response in responses)
+        assert explains == requests
+        assert sorted(builds) == ["test/a", "test/b"]
+
     def test_distinct_engines_get_distinct_instances(self, covid_documents):
         registry = ExplainerRegistry()
         registry.register("test/null")(lambda engine: _NullExplainer())

@@ -6,7 +6,9 @@ observe, they never participate. This suite runs every explanation
 family across every ranker family and every search strategy twice —
 once with no trace installed, once under an active trace — and demands
 ``to_dict()``-identical payloads (minus the wall-clock
-``elapsed_seconds``, which is a measurement, not a result).
+``elapsed_seconds``, which is a measurement, not a result). REST
+payloads, a store miss and a hit, match with the router's tracer on or
+off.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import json
 
 import pytest
 
+from repro.api.app import build_router
+from repro.api.client import InProcessClient
 from repro.core.engine import CredenceEngine, EngineConfig
 from repro.core.explain import ExplainRequest
 from repro.index.document import Document
@@ -150,6 +154,36 @@ class TestInstanceFamily:
                 samples=10,
             ),
         )
+
+
+class TestRestNeutrality:
+    def test_rest_payloads_match_with_tracing_off(self):
+        # A store miss, then a hit, through a traced and an untraced
+        # router, each over its own engine.
+        payloads = []
+        for tracer in (Tracer(enabled=False), Tracer(ring_capacity=4)):
+            engine = CredenceEngine(
+                _corpus(), EngineConfig(ranker="bm25", seed=5)
+            )
+            client = InProcessClient(build_router(engine, tracer=tracer))
+            body = {
+                "query": QUERY,
+                "doc_id": _doc_for(engine),
+                "strategy": "document/sentence-removal",
+                "n": 2,
+                "k": 5,
+            }
+            try:
+                responses = [
+                    client.post("/explanations", body) for _ in range(2)
+                ]
+            finally:
+                engine.service().shutdown()
+            for response in responses:
+                assert response.status == 200
+                response.payload.pop("elapsed_seconds")
+            payloads.append([response.payload for response in responses])
+        assert payloads[0] == payloads[1]
 
 
 class TestNestingNeutrality:

@@ -144,6 +144,20 @@ def _naive_substituted(ranker, pool, doc_id, body):
     return ranker.rank_candidates(QUERY, substituted)
 
 
+CANDIDATES = 7
+
+
+def _scorings_after(ranker):
+    """(pool, physical scorings) after a baseline and ``CANDIDATES``
+    sentence removals in one session."""
+    pool = _pool(ranker)
+    session = ranker.scoring_session(QUERY, pool)
+    session.baseline()
+    for i in range(CANDIDATES):
+        session.rank_without_sentences(pool[0].doc_id, {i % 3})
+    return pool, session.physical_scorings
+
+
 def _assert_rankings_match(session_ranking, naive_ranking):
     assert [e.doc_id for e in session_ranking] == [
         e.doc_id for e in naive_ranking
@@ -206,19 +220,10 @@ class TestSessionEquivalence:
             ), (name, removed)
 
     def test_physical_scorings_are_incremental(self, rankers, name):
-        ranker = rankers[name]
-        pool = _pool(ranker)
-        session = ranker.scoring_session(QUERY, pool)
-        session.baseline()
-        candidates = 7
-        for i in range(candidates):
-            session.rank_without_sentences(pool[0].doc_id, {i % 3})
-        if isinstance(session, IncrementalScoringSession):
-            # pool once + one scoring per candidate
-            assert session.physical_scorings == len(pool) + candidates
-        else:
-            assert isinstance(session, NaiveScoringSession)
-            assert session.physical_scorings == len(pool) * (1 + candidates)
+        # Every built-in ranker scores the pool once, then one document
+        # per candidate; a fallback to naive re-ranking fails here.
+        pool, scorings = _scorings_after(rankers[name])
+        assert scorings == len(pool) + CANDIDATES
 
 
 class TestWrapperSessions:
@@ -236,6 +241,12 @@ class TestWrapperSessions:
         cached = ScoreCache(Bm25Ranker(index))
         session = cached.scoring_session(QUERY, _pool(cached))
         assert isinstance(session, IncrementalScoringSession)
+
+    def test_opaque_ranker_rescores_the_pool_per_candidate(self, index):
+        # The naive fallback's count: the whole pool for the baseline
+        # and again for every candidate.
+        pool, scorings = _scorings_after(OpaqueRanker(Bm25Ranker(index)))
+        assert scorings == len(pool) * (1 + CANDIDATES)
 
 
 class TestSubstitutionMetadata:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import random
 
 import pytest
 
@@ -136,6 +137,33 @@ class TestParallelEquivalence:
             assert _canonical(responses) == _canonical(
                 fresh_engine().explain_batch(requests)
             )
+        finally:
+            engine.service().shutdown()
+
+    def test_one_worker_computes_each_distinct_request_once(
+        self, fresh_engine
+    ):
+        # 12 distinct requests, 4 repeats each, interleaved: on one
+        # worker the first of each computes and the other three are
+        # answered from the result store.
+        engine = fresh_engine()
+        top = [entry.doc_id for entry in engine.rank(DEMO_QUERY, 10)][:4]
+        distinct = [
+            ExplainRequest(DEMO_QUERY, doc_id, strategy=name, k=10, **knobs)
+            for doc_id in top
+            for name, knobs in (
+                ("document/sentence-removal", {}),
+                ("query/augmentation", {"n": 2, "threshold": 2}),
+                ("document/greedy", {}),
+            )
+        ]
+        requests = distinct * 4
+        random.Random(13).shuffle(requests)
+        try:
+            responses = engine.explain_batch(requests, workers=1)
+            store = engine.service().store
+            assert all(response.ok for response in responses)
+            assert (store.misses, store.hits) == (12, 36)
         finally:
             engine.service().shutdown()
 

@@ -99,7 +99,7 @@ EXECUTION_TIER_NEEDLES = {
         "RemoteReproError",
         "WorkerProcessDied",
         "tasks_dispatched",
-        "BENCH_process_tier.json",
+        "test_workers_initialize_once_across_dispatches",
     ),
     "docs/api/cli.md": (
         "--workers",
@@ -164,8 +164,9 @@ def test_docs_cover_the_eval_harness(name):
 #: ``engine.explain``, ``POST /explanations`` and ``explain --strategy``,
 #: the JSON index formats, ``repro compact`` and ``shards=None`` (v3 is
 #: the only format; every corpus is a ``ShardedIndex``), and the thread
-#: and process ingest fan-outs (ingest has one serial path). No document
-#: or example may name them again.
+#: and process ingest fan-outs (ingest has one serial path), the pytest
+#: timers and their results (perfbench is the one way to measure), and
+#: ``RankingFunction``. No document or example may name them again.
 REMOVED_SURFACES = (
     "explain_document(",
     "explain_query(",
@@ -201,6 +202,24 @@ REMOVED_SURFACES = (
     "analyze_partitions",
     "MAX_INGEST_WORKERS",
     "TokenMemo",
+    "bench_api_dispatch",
+    "bench_cf_session",
+    "bench_service_throughput",
+    "bench_admission",
+    "bench_process_tier",
+    "bench_obs",
+    "bench_substrates",
+    "BENCH_admission.json",
+    "BENCH_cf_session.json",
+    "BENCH_service_throughput.json",
+    "BENCH_process_tier.json",
+    "BENCH_obs.json",
+    "CF_SESSION_SMOKE",
+    "SERVICE_SMOKE",
+    "ADMISSION_SMOKE",
+    "PROC_SMOKE",
+    "OBS_SMOKE",
+    "RankingFunction",
 )
 
 
